@@ -2,8 +2,9 @@
 
 Subcommands: generate, ingest, run, validate, solve-exact, and the
 experiment suites. Exit codes: 0 success, 1 usage error, 2 validation
-failure, 3 exact-solver cap exceeded. Table output is always rendered
-from the same structured document that json output serializes.
+failure or malformed input document, 3 exact-solver cap exceeded. Table
+output is always rendered from the same structured document that json
+output serializes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 from . import engine, exact, workload
 from .model import (
     Scenario,
+    ScenarioFormatError,
     encode_action,
     load_scenario,
     save_scenario,
@@ -290,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
+    except (json.JSONDecodeError, ScenarioFormatError) as exc:
+        print(f"malformed input: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

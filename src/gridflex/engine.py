@@ -21,6 +21,7 @@ from . import baselines, exact, heuristic, utility, workload
 from .model import (
     Action,
     Scenario,
+    ScenarioFormatError,
     decode_action,
     encode_action,
     validate_config,
@@ -96,10 +97,13 @@ class RunResult:
 
 
 def decisions_from_dict(doc: dict) -> dict[str, list[Action]]:
-    return {
-        dev_id: [decode_action(a) for a in row]
-        for dev_id, row in doc["decisions"].items()
-    }
+    try:
+        return {
+            dev_id: [decode_action(a) for a in row]
+            for dev_id, row in doc["decisions"].items()
+        }
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ScenarioFormatError(f"bad result document: {exc!r}") from exc
 
 
 def run(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from . import priority as priority_mod
@@ -42,6 +43,8 @@ RankFn = Callable[[Sequence[DeviceState], int], list[DeviceState]]
 UPGRADE_ROUND_ROBIN = "round-robin"
 UPGRADE_GREEDY = "greedy"
 
+_BY_ID = attrgetter("request.id")
+
 
 @dataclass(frozen=True)
 class AggregatorStatus:
@@ -50,7 +53,6 @@ class AggregatorStatus:
     aggregator: int
     residual_kw: float
     committed_kw: float
-    cluster_size: int
 
 
 StatusList = list[AggregatorStatus]
@@ -173,7 +175,6 @@ def publish_status(aggregators: Sequence[AggregatorState], slot: int) -> StatusL
             aggregator=a.index,
             residual_kw=a.residual_kw,
             committed_kw=a.committed_kw,
-            cluster_size=len(a.members),
         )
         for a in aggregators
     ]
@@ -272,6 +273,16 @@ def run_horizon(
     first transit slot) and the device is schedulable at the target after
     the edge's delay. Losses accumulate per device with the deadline term
     evaluated on post-service progress.
+
+    Each slot visits only the live set, kept in device-id order: devices
+    that have arrived and can still cost something. Arrivals join it at
+    their arrival slot. A device leaves it for good once it sits at a
+    cluster, is `completed`, and has progress >= `demand_kwh`: from then
+    on its action is Idle and its slot loss is exactly 0, so its row and
+    totals are already final. Both conditions are needed, since
+    `completed` allows an EPS shortfall that the deadline term still
+    charges. Work per slot is therefore proportional to live devices,
+    not to every request that has arrived.
     """
     tau = cfg.horizon_slots
     ordered = sorted(devices, key=lambda d: d.id)
@@ -283,49 +294,45 @@ def run_horizon(
     committed: list[list[float]] = []
     slot_wall: list[float] = []
 
+    arrivals: list[list[DeviceState]] = [[] for _ in range(tau)]
+    for d in ordered:
+        if d.arrival_slot < tau:
+            arrivals[max(d.arrival_slot, 0)].append(states[d.id])
+    live: list[DeviceState] = []
+
     for t in range(tau):
         t0 = time.perf_counter()
 
-        # arrivals and transit completions
-        active: list[DeviceState] = []
-        for d in ordered:
-            st = states[d.id]
-            if isinstance(st.location, InTransit) and st.location.arrival_slot == t:
-                st.location = AtCluster(st.location.target)
-            if d.arrival_slot <= t:
-                active.append(st)
+        if arrivals[t]:
+            # two sorted runs: the sort merges them in linear time
+            live.extend(arrivals[t])
+            live.sort(key=_BY_ID)
 
-        for agg in aggs:
-            agg.reset_slot()
-            agg.members = {
-                st.request.id
-                for st in active
-                if isinstance(st.location, AtCluster) and st.location.aggregator == agg.index
-            }
+        # clusters in id order; transits land here or spend the slot moving
+        clusters: list[list[DeviceState]] = [[] for _ in aggs]
+        for st in live:
+            loc = st.location
+            if isinstance(loc, InTransit):
+                if loc.arrival_slot != t:
+                    decisions[st.request.id][t] = Move(loc.origin, loc.target)
+                    continue
+                loc = st.location = AtCluster(loc.target)
+            clusters[loc.aggregator].append(st)
 
         # aggregator phase: independent per cluster
-        for agg in aggs:
-            cluster = [states[dev_id] for dev_id in sorted(agg.members)]
+        for agg, cluster in zip(aggs, clusters):
             assigned = schedule_slot(agg, cluster, t, cfg.slot_hours, rank_fn, upgrade_policy)
-            for st in cluster:
-                action = assigned.get(st.request.id, IDLE)
-                decisions[st.request.id][t] = action
-                if isinstance(action, Serve):
-                    delivered = st.request.modes.power(action.mode_index) * cfg.slot_hours
-                    real = min(delivered, st.deficit_kwh)
-                    st.progress_kwh += real
-                    agg.served_energy_kwh += real
-
-        # devices already in transit spend the slot moving
-        for st in active:
-            if isinstance(st.location, InTransit):
-                decisions[st.request.id][t] = Move(st.location.origin, st.location.target)
+            for dev_id, action in assigned.items():
+                st = states[dev_id]
+                decisions[dev_id][t] = action
+                delivered = st.request.modes.power(action.mode_index) * cfg.slot_hours
+                st.progress_kwh += min(delivered, st.deficit_kwh)
 
         status = publish_status(aggs, t)
 
         # device phase: unserved mobile devices may depart this slot
         if mobility_enabled:
-            for st in active:
+            for st in live:
                 if not isinstance(st.location, AtCluster):
                     continue
                 if not isinstance(decisions[st.request.id][t], Idle):
@@ -339,8 +346,8 @@ def run_horizon(
                     st.location = InTransit(move.origin, move.target, t + opt.delay_slots)
                     st.extra_demand_kwh += opt.delay_slots * opt.cost_kwh_per_slot
 
-        # loss accounting on final slot actions
-        for st in active:
+        # loss accounting on final slot actions, then retire finished devices
+        for st in live:
             action = decisions[st.request.id][t]
             breakdown = utility.slot_loss(
                 st, SlotDecision(st.request.id, t, action), t, cfg
@@ -349,13 +356,23 @@ def run_horizon(
             st.deadline_loss_total += breakdown.deadline_loss
             st.mobility_loss_raw += breakdown.mobility_loss
             st.stationary_penalty_total += breakdown.stationary_penalty
-            st.served_history.append(SlotDecision(st.request.id, t, action))
+        live = [st for st in live if not _retired(st)]
 
         committed.append([agg.committed_kw for agg in aggs])
         slot_wall.append(time.perf_counter() - t0)
 
     return HorizonResult(
         decisions=decisions, states=states, committed_kw=committed, slot_wall_s=slot_wall
+    )
+
+
+def _retired(st: DeviceState) -> bool:
+    """Idle with zero slot loss for every later slot: at a cluster (so no
+    transit is pending), nothing left to serve, and no deadline deficit."""
+    return (
+        isinstance(st.location, AtCluster)
+        and st.completed
+        and st.request.demand_kwh - st.progress_kwh <= 0.0
     )
 
 

@@ -12,7 +12,7 @@ all mutation of runtime state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -331,7 +331,6 @@ class DeviceState:
     deadline_loss_total: float = 0.0
     mobility_loss_raw: float = 0.0
     stationary_penalty_total: float = 0.0
-    served_history: list[SlotDecision] = field(default_factory=list)
 
     @property
     def target_kwh(self) -> float:
@@ -375,16 +374,11 @@ class AggregatorState:
 
     index: int
     budget_kw: float
-    members: set[str] = field(default_factory=set)
     committed_kw: float = 0.0
-    served_energy_kwh: float = 0.0
 
     @property
     def residual_kw(self) -> float:
         return max(self.budget_kw - self.committed_kw, 0.0)
-
-    def reset_slot(self) -> None:
-        self.committed_kw = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,11 @@ class TestAcceptance:
                     for scheduler in ("heuristic", "edf", "hp"):
                         repeat.append(engine.run(sc, scheduler).canonical_json())
                 assert batch == repeat
+                # the same runs fanned out through the experiment worker pool
+                for sc in (scenario, ev):
+                    pooled = engine.baseline_compare(sc)
+                    for scheduler in ("heuristic", "edf", "hp"):
+                        batch.append(pooled[scheduler].canonical_json())
                 payloads.append(batch)
         finally:
             if old is None:

@@ -102,6 +102,43 @@ class TestValidateCommand:
         assert main(["validate", str(scenario_file), str(out)]) == EXIT_VALIDATION
 
 
+class TestMalformedInput:
+    """Bad input documents exit with code 2 and one stderr line, never a traceback."""
+
+    def assert_rejected(self, argv, capsys):
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input: ")
+        assert err.count("\n") == 1
+
+    def test_run_malformed_json(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"config": ')
+        self.assert_rejected(["run", str(bad)], capsys)
+
+    def test_validate_malformed_scenario_json(self, tmp_path, scenario_file, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        self.assert_rejected(["validate", str(bad), str(scenario_file)], capsys)
+
+    def test_validate_malformed_result_json(self, tmp_path, scenario_file, capsys):
+        bad = tmp_path / "result.json"
+        bad.write_text("[1, 2")
+        self.assert_rejected(["validate", str(scenario_file), str(bad)], capsys)
+
+    def test_validate_result_without_decisions(self, tmp_path, scenario_file, capsys):
+        bad = tmp_path / "result.json"
+        bad.write_text(json.dumps({"scheduler": "heuristic"}))
+        self.assert_rejected(["validate", str(scenario_file), str(bad)], capsys)
+
+    def test_run_zero_slot_movement_delay(self, tmp_path, scenario_file, capsys):
+        doc = json.loads(scenario_file.read_text())
+        doc["config"]["movement"]["pairs"][0]["delay_slots"] = 0
+        bad = tmp_path / "zero_delay.json"
+        bad.write_text(json.dumps(doc))
+        self.assert_rejected(["run", str(bad)], capsys)
+
+
 class TestSolveExact:
     def test_micro_instance(self, micro_file, tmp_path):
         out = tmp_path / "exact.json"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gridflex import engine, utility, workload
 from gridflex.baselines import edf_rank, hp_rank
 from gridflex.heuristic import (
     UPGRADE_GREEDY,
@@ -16,11 +17,14 @@ from gridflex.model import (
     AtCluster,
     DeviceRequest,
     DeviceState,
+    Idle,
     Move,
     MovementMatrix,
     PowerModeSet,
+    Scenario,
     Serve,
     SystemConfig,
+    encode_action,
 )
 
 
@@ -232,7 +236,7 @@ class TestRunHorizon:
         assert result.total_loss == 0.0
         assert state.progress_kwh == pytest.approx(3.0)
         done_by = max(
-            d.slot for d in state.served_history if isinstance(d.action, Serve)
+            t for t, action in enumerate(result.decisions["a"]) if isinstance(action, Serve)
         )
         assert done_by <= 6
 
@@ -245,8 +249,8 @@ class TestRunHorizon:
         ]
         result = run_horizon(cfg, devs)
         assert result.total_loss == 0.0
-        for st in result.states.values():
-            assert not any(isinstance(d.action, Move) for d in st.served_history)
+        for row in result.decisions.values():
+            assert not any(isinstance(action, Move) for action in row)
 
     def test_congested_cluster_overflows_late_losses(self):
         cfg = make_cfg(num_aggregators=1, budget=2.0, horizon=8)
@@ -344,6 +348,148 @@ class TestRunHorizon:
         late = result.schedule_for_slot(6)
         assert [d.device_id for d in late.decisions] == ["a", "z"]
         assert all(d.slot == 6 for d in late.decisions)
+
+
+def rows_of(result):
+    return {dev_id: [encode_action(a) for a in row] for dev_id, row in result.decisions.items()}
+
+
+def assert_replay_matches(cfg, devs, result):
+    replayed = engine.replay_loss(Scenario("live-set", cfg, tuple(devs)), result.decisions)
+    assert replayed == result.total_loss
+
+
+class TestLiveSet:
+    """Boundaries of the horizon loop's live set: who joins it, and when
+    a device may leave it without changing any output."""
+
+    def test_arrival_in_last_slot_is_scheduled(self):
+        cfg = make_cfg(horizon=6)
+        devs = [
+            make_request("a", [2], demand=1.0, deadline=6, arrival=5),
+            make_request("b", [2], demand=6.0, deadline=6),
+        ]
+        result = run_horizon(cfg, devs)
+        assert rows_of(result) == {
+            "a": ["I"] * 5 + ["S:1:0"],
+            "b": ["S:1:0"] * 6,
+        }
+        assert result.total_loss == 0.0
+        assert_replay_matches(cfg, devs, result)
+
+    def test_transit_landing_slot_is_served_at_target(self):
+        # home budget is below the device's only mode; once late it moves
+        # one hop (slot 2) and is served at the target in the landing slot
+        cfg = SystemConfig(2, (1.0, 2.0), 8, 0.5, MovementMatrix.line(2, 0.15))
+        devs = [make_request("b", [2], demand=1.0, deadline=1, mobile=True, initial=1.0)]
+        result = run_horizon(cfg, devs)
+        assert rows_of(result) == {
+            "b": ["I", "I", "M:0:1", "S:1:1", "S:1:1", "I", "I", "I"],
+        }
+        assert result.states["b"].location == AtCluster(1)
+        assert_replay_matches(cfg, devs, result)
+
+    def test_shortfall_within_eps_keeps_paying_deadline_loss(self):
+        # one slot delivers 1.0 kWh: `completed` holds (shortfall 5e-10 <= EPS),
+        # but the deadline term still charges the shortfall every later slot
+        cfg = make_cfg(horizon=6)
+        demand = 1.0 + 5e-10
+        devs = [make_request("a", [2], demand=demand, deadline=1)]
+        result = run_horizon(cfg, devs)
+        assert rows_of(result) == {"a": ["S:1:0"] + ["I"] * 5}
+        st = result.states["a"]
+        assert st.completed and st.progress_kwh == 1.0
+        expected = 0.0
+        for t in range(6):
+            expected += utility.deadline_loss(1.0, demand, t, 1, 1.6)
+        assert expected > 0.0
+        assert st.deadline_loss_total == expected
+        assert_replay_matches(cfg, devs, result)
+
+    def test_retired_device_stays_idle_to_horizon_end(self):
+        # "a" finishes in slot 0 and retires; a mobile finisher and a later
+        # arrival at the same cluster must not bring it back
+        cfg = make_cfg(num_aggregators=2, budget=2.0, horizon=10)
+        devs = [
+            make_request("a", [2], demand=1.0, deadline=3),
+            make_request("b", [2], demand=1.0, deadline=3, home=1, mobile=True, initial=5.0),
+            make_request("c", [2], demand=3.0, deadline=10, arrival=4),
+        ]
+        result = run_horizon(cfg, devs)
+        assert rows_of(result) == {
+            "a": ["S:1:0"] + ["I"] * 9,
+            "b": ["S:1:1"] + ["I"] * 9,
+            "c": ["I"] * 4 + ["S:1:0"] * 3 + ["I"] * 3,
+        }
+        assert result.total_loss == 0.0
+        assert_replay_matches(cfg, devs, result)
+
+
+def count_slot_loss_calls(monkeypatch):
+    """Record (device id, slot) for every `utility.slot_loss` call."""
+    calls = []
+    original = utility.slot_loss
+
+    def counting(state, decision, slot, cfg):
+        calls.append((state.request.id, slot))
+        return original(state, decision, slot, cfg)
+
+    monkeypatch.setattr(utility, "slot_loss", counting)
+    return calls
+
+
+def live_device_slots(cfg, devices, result):
+    """Slots from arrival to retirement, derived from the outputs alone.
+
+    A device that ends at a cluster, completed, with progress >= demand
+    retires in its last non-idle slot; any other device stays live to
+    the end of the horizon.
+    """
+    total = 0
+    for dev in devices:
+        st = result.states[dev.id]
+        row = result.decisions[dev.id]
+        retires = (
+            not isinstance(row[-1], Move)
+            and st.completed
+            and dev.demand_kwh - st.progress_kwh <= 0.0
+        )
+        if retires:
+            last = max(t for t, action in enumerate(row) if not isinstance(action, Idle))
+        else:
+            last = len(row) - 1
+        total += last - dev.arrival_slot + 1
+    return total
+
+
+class TestWorkProportionalToLiveSet:
+    def test_slot_loss_only_between_arrival_and_retirement(self, monkeypatch):
+        calls = count_slot_loss_calls(monkeypatch)
+        cfg = make_cfg(horizon=10)
+        devs = [
+            make_request("a", [2], demand=1.0, deadline=2),
+            make_request("b", [2], demand=2.0, deadline=6, arrival=2),
+            make_request("c", [2], demand=1.0 + 5e-10, deadline=6, arrival=4),
+            make_request("d", [2], demand=1.0, deadline=10, arrival=9),
+        ]
+        result = run_horizon(cfg, devs)
+        assert sorted(calls) == (
+            [("a", 0), ("b", 2), ("b", 3)]
+            + [("c", t) for t in range(4, 10)]
+            + [("d", 9)]
+        )
+        assert len(calls) == live_device_slots(cfg, devs, result)
+
+    def test_generated_scenario_calls_match_live_device_slots(self, monkeypatch):
+        calls = count_slot_loss_calls(monkeypatch)
+        scenario = workload.generate(
+            workload.GenSpec(num_devices=100, class_combo=("L", "L", "M", "M", "H"), seed=3)
+        )
+        cfg, devs = scenario.config, scenario.devices
+        result = run_horizon(cfg, devs)
+        arrived_slots = sum(cfg.horizon_slots - d.arrival_slot for d in devs)
+        assert len(calls) == live_device_slots(cfg, devs, result)
+        assert len(calls) < arrived_slots
 
 
 class TestBaselineRankings:
