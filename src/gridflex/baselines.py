@@ -11,14 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .heuristic import (
-    UPGRADE_ROUND_ROBIN,
-    AggregatorState,
-    RankFn,
-    heuristic_rank,
-    schedule_slot,
-)
-from .model import DeviceState, Serve
+from .heuristic import RankFn, heuristic_rank
+from .model import DeviceState
 
 
 def edf_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceState]:
@@ -29,26 +23,6 @@ def edf_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceState]:
 def hp_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceState]:
     """Largest outstanding demand first; ties by device id."""
     return sorted(cluster, key=lambda d: (-d.deficit_kwh, d.request.id))
-
-
-def edf_schedule_slot(
-    agg: AggregatorState,
-    cluster: Sequence[DeviceState],
-    slot: int,
-    slot_hours: float,
-    upgrade_policy: str = UPGRADE_ROUND_ROBIN,
-) -> dict[str, Serve]:
-    return schedule_slot(agg, cluster, slot, slot_hours, edf_rank, upgrade_policy)
-
-
-def hp_schedule_slot(
-    agg: AggregatorState,
-    cluster: Sequence[DeviceState],
-    slot: int,
-    slot_hours: float,
-    upgrade_policy: str = UPGRADE_ROUND_ROBIN,
-) -> dict[str, Serve]:
-    return schedule_slot(agg, cluster, slot, slot_hours, hp_rank, upgrade_policy)
 
 
 @dataclass(frozen=True)
@@ -74,8 +48,3 @@ def get_scheduler(name: str) -> SchedulerSpec:
         raise KeyError(
             f"unknown scheduler {name!r}; choose from {sorted(SCHEDULERS)}"
         ) from None
-
-
-def set_mobility_enabled(spec: SchedulerSpec, enabled: bool) -> SchedulerSpec:
-    """Copy of the scheduler spec with mobility forced on or off."""
-    return SchedulerSpec(spec.name, spec.rank_fn, mobility_default=enabled)

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import engine, exact, workload
 from .model import (
-    Scenario,
     ScenarioFormatError,
     encode_action,
     load_scenario,
@@ -38,10 +37,6 @@ def _write_or_print(text: str, out: str | None) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _load_scenario_arg(path: str) -> Scenario:
-    return load_scenario(path)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     spec = workload.GenSpec(
         num_devices=args.devices,
@@ -57,12 +52,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.out:
         save_scenario(scenario, args.out)
     else:
-        print(json.dumps(_scenario_doc(scenario), indent=2, sort_keys=True))
+        print(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True))
     return EXIT_OK
-
-
-def _scenario_doc(scenario: Scenario) -> dict:
-    return scenario_to_dict(scenario)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -78,7 +69,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.out:
         save_scenario(scenario, args.out)
     else:
-        print(json.dumps(_scenario_doc(scenario), indent=2, sort_keys=True))
+        print(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -89,7 +80,7 @@ def _mobility_arg(value: str | None) -> bool | None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load_scenario_arg(args.scenario)
+    scenario = load_scenario(args.scenario)
     try:
         result = engine.run(scenario, args.scheduler, mobility=_mobility_arg(args.mobility))
     except engine.InvalidScenarioError as exc:
@@ -101,7 +92,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.format == "table":
         _write_or_print(_render_run_table(result), args.out)
     else:
-        text = json.dumps(result.to_dict(), indent=2, sort_keys=True)
+        # compact: with `indent` set the json module drops to its pure-Python encoder
+        text = json.dumps(result.to_dict(), sort_keys=True)
         _write_or_print(text + "\n", args.out)
     return EXIT_OK
 
@@ -124,7 +116,7 @@ def _render_run_table(result: engine.RunResult) -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    scenario = _load_scenario_arg(args.scenario)
+    scenario = load_scenario(args.scenario)
     doc = json.loads(Path(args.result).read_text())
     decisions = engine.decisions_from_dict(doc)
     try:
@@ -137,7 +129,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_exact(args: argparse.Namespace) -> int:
-    scenario = _load_scenario_arg(args.scenario)
+    scenario = load_scenario(args.scenario)
     violations = validate_config(scenario.config, scenario.devices)
     if violations:
         for v in violations:
@@ -179,7 +171,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if not args.scenario:
             print("baseline-compare needs --scenario", file=sys.stderr)
             return EXIT_USAGE
-        scenario = _load_scenario_arg(args.scenario)
+        scenario = load_scenario(args.scenario)
         results = engine.baseline_compare(scenario)
         report = engine.improvement_report(results)
         doc = {

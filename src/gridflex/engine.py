@@ -14,7 +14,6 @@ import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import baselines, exact, heuristic, utility, workload
@@ -92,9 +91,6 @@ class RunResult:
         """Deterministic serialization with environment-dependent timing removed."""
         return json.dumps(self.to_dict(include_timing=False), sort_keys=True)
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-
 
 def decisions_from_dict(doc: dict) -> dict[str, list[Action]]:
     try:
@@ -110,7 +106,6 @@ def run(
     scenario: Scenario,
     scheduler: str = "heuristic",
     mobility: bool | None = None,
-    upgrade_policy: str = heuristic.UPGRADE_ROUND_ROBIN,
 ) -> RunResult:
     """Execute one scheduler over one scenario with the validator gate.
 
@@ -134,7 +129,6 @@ def run(
         scenario.devices,
         rank_fn=spec.rank_fn,
         mobility_enabled=mobility_enabled,
-        upgrade_policy=upgrade_policy,
     )
 
     report = exact.validate_schedule(horizon.decisions, scenario.config, list(scenario.devices))

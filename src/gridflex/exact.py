@@ -178,7 +178,7 @@ def validate_schedule(
 
             elif isinstance(action, Serve):
                 if t < dev.arrival_slot:
-                    checks["i"].record(dev_id, t)
+                    checks["ii"].record(dev_id, t)
                 if not 1 <= action.mode_index <= dev.modes.count:
                     checks["i"].record(dev_id, t)
                     continue

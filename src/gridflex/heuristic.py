@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Sequence
 
-from . import priority as priority_mod
 from . import utility
 from .model import (
     EPS,
@@ -32,61 +31,31 @@ from .model import (
     MovementMatrix,
     Scenario,
     Serve,
-    SlotDecision,
     SystemConfig,
 )
+from .priority import priority
 
 # Ranking functions take the schedulable cluster members and the current
 # slot, and return them in service order.
 RankFn = Callable[[Sequence[DeviceState], int], list[DeviceState]]
 
-UPGRADE_ROUND_ROBIN = "round-robin"
-UPGRADE_GREEDY = "greedy"
-
 _BY_ID = attrgetter("request.id")
 
 
-@dataclass(frozen=True)
-class AggregatorStatus:
-    """One aggregator's published load snapshot for the current slot."""
-
-    aggregator: int
-    residual_kw: float
-    committed_kw: float
-
-
-StatusList = list[AggregatorStatus]
-
-
-@dataclass(frozen=True)
-class SlotSchedule:
-    slot: int
-    decisions: tuple[SlotDecision, ...]
-
-
 def heuristic_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceState]:
-    """Order a cluster by the urgency score, with the documented tie-breaks."""
-    by_id = {d.request.id: d for d in cluster}
-    entries = [
-        priority_mod.PriorityEntry(
-            device_id=d.request.id,
-            value=priority_mod.priority(d.progress_kwh, d.target_kwh, slot, d.request.deadline_slot),
-            criticality=d.request.criticality,
-            min_mode_kw=d.request.modes.min_kw,
+    """Descending by urgency score; ties by higher criticality, then
+    smaller minimum mode, then id, so the order is total."""
+
+    def key(d: DeviceState) -> tuple[float, float, float, str]:
+        req = d.request
+        return (
+            -priority(d.progress_kwh, d.target_kwh, slot, req.deadline_slot),
+            -req.criticality,
+            req.modes.min_kw,
+            req.id,
         )
-        for d in cluster
-    ]
-    return [by_id[e.device_id] for e in priority_mod.rank(entries)]
 
-
-def _mode_fits_deficit(power_kw: float, deficit_kwh: float, slot_hours: float, lowest: bool) -> bool:
-    # the lowest non-zero mode may overshoot by up to one slot's delivery;
-    # higher modes must fit inside the remaining deficit
-    if deficit_kwh <= EPS:
-        return False
-    if lowest:
-        return True
-    return power_kw * slot_hours <= deficit_kwh + EPS
+    return sorted(cluster, key=key)
 
 
 def schedule_slot(
@@ -95,16 +64,16 @@ def schedule_slot(
     slot: int,
     slot_hours: float,
     rank_fn: RankFn = heuristic_rank,
-    upgrade_policy: str = UPGRADE_ROUND_ROBIN,
 ) -> dict[str, Serve]:
     """Assign power modes to one aggregator's cluster for one slot.
 
     First pass hands each ranked device its lowest non-zero mode while
     the budget holds; devices that fit nothing idle. The second pass
-    walks the same order upgrading one mode step at a time (round-robin
-    until a full sweep fits nothing, or greedily to the top if
-    configured). Never exceeds the budget and never overshoots a
-    device's outstanding demand beyond one slot's granularity.
+    walks the same order upgrading one mode step at a time, round-robin
+    until a full sweep fits nothing. Never exceeds the budget and never
+    overshoots a device's outstanding demand beyond one slot's
+    granularity: the lowest mode may overshoot by up to one slot's
+    delivery, higher modes must fit inside the remaining deficit.
     """
     serving = [d for d in cluster if not d.completed]
     ranked = rank_fn(serving, slot)
@@ -113,27 +82,20 @@ def schedule_slot(
     assignment: dict[str, int] = {}
 
     for dev in ranked:
-        modes = dev.request.modes
-        lowest = modes.min_kw
-        if lowest <= residual + EPS and _mode_fits_deficit(
-            lowest, dev.deficit_kwh, slot_hours, lowest=True
-        ):
+        lowest = dev.request.modes.min_kw
+        if lowest <= residual + EPS:
             assignment[dev.request.id] = 1
             residual -= lowest
 
     served = [d for d in ranked if d.request.id in assignment]
-    if upgrade_policy == UPGRADE_GREEDY:
+    changed = True
+    while changed and residual > EPS:
+        changed = False
         for dev in served:
-            residual = _upgrade_to_limit(dev, assignment, residual, slot_hours)
-    else:
-        changed = True
-        while changed and residual > EPS:
-            changed = False
-            for dev in served:
-                new_residual = _upgrade_one_step(dev, assignment, residual, slot_hours)
-                if new_residual is not None:
-                    residual = new_residual
-                    changed = True
+            new_residual = _upgrade_one_step(dev, assignment, residual, slot_hours)
+            if new_residual is not None:
+                residual = new_residual
+                changed = True
 
     agg.committed_kw = agg.budget_kw - residual
     return {
@@ -152,37 +114,15 @@ def _upgrade_one_step(
     step = modes.power(current + 1) - modes.power(current)
     if step > residual + EPS:
         return None
-    if not _mode_fits_deficit(modes.power(current + 1), dev.deficit_kwh, slot_hours, lowest=False):
+    if modes.power(current + 1) * slot_hours > dev.deficit_kwh + EPS:
         return None
     assignment[dev.request.id] = current + 1
     return residual - step
 
 
-def _upgrade_to_limit(
-    dev: DeviceState, assignment: dict[str, int], residual: float, slot_hours: float
-) -> float:
-    while True:
-        new_residual = _upgrade_one_step(dev, assignment, residual, slot_hours)
-        if new_residual is None:
-            return residual
-        residual = new_residual
-
-
-def publish_status(aggregators: Sequence[AggregatorState], slot: int) -> StatusList:
-    """Snapshot of every aggregator's residual capacity after scheduling."""
-    return [
-        AggregatorStatus(
-            aggregator=a.index,
-            residual_kw=a.residual_kw,
-            committed_kw=a.committed_kw,
-        )
-        for a in aggregators
-    ]
-
-
 def mobility_decision(
     dev: DeviceState,
-    status: StatusList,
+    aggregators: Sequence[AggregatorState],
     matrix: MovementMatrix,
     slot: int,
     horizon_slots: int,
@@ -190,12 +130,12 @@ def mobility_decision(
 ) -> Move | None:
     """Device-side choice to migrate after going unserved this slot.
 
-    Candidates are aggregators advertising residual capacity the device
-    could actually draw on (at least its lowest mode) whose transit
-    completes within the horizon. Among the affordable ones (total
-    movement cost within on-board energy) the cheapest wins, and the
-    move happens only when the deadline loss of staying exceeds the
-    movement cost.
+    Candidates are aggregators whose residual capacity after this slot's
+    scheduling is one the device could actually draw on (at least its
+    lowest mode) and whose transit completes within the horizon. Among
+    the affordable ones (total movement cost within on-board energy) the
+    cheapest wins, and the move happens only when the deadline loss of
+    staying exceeds the movement cost.
     """
     if not dev.request.mobile:
         return None
@@ -204,18 +144,18 @@ def mobility_decision(
     here = dev.location.aggregator
 
     best: tuple[float, int] | None = None
-    for entry in status:
-        if entry.aggregator == here:
+    for agg in aggregators:
+        if agg.index == here:
             continue
-        if entry.residual_kw + EPS < dev.request.modes.min_kw:
+        if agg.residual_kw + EPS < dev.request.modes.min_kw:
             continue
-        opt = matrix.option(here, entry.aggregator)
+        opt = matrix.option(here, agg.index)
         if slot + opt.delay_slots > horizon_slots - 1:
             continue
         cost = opt.delay_slots * opt.cost_kwh_per_slot
         if cost > dev.available_energy_kwh + EPS:
             continue
-        key = (cost, entry.aggregator)
+        key = (cost, agg.index)
         if best is None or key < best:
             best = key
 
@@ -248,25 +188,15 @@ class HorizonResult:
     def total_loss(self) -> float:
         return sum(self.states[dev_id].loss_total for dev_id in sorted(self.states))
 
-    def schedule_for_slot(self, slot: int) -> SlotSchedule:
-        """One slot's decisions across every device active by that slot."""
-        entries = tuple(
-            SlotDecision(dev_id, slot, self.decisions[dev_id][slot])
-            for dev_id in sorted(self.decisions)
-            if self.states[dev_id].request.arrival_slot <= slot
-        )
-        return SlotSchedule(slot, entries)
-
 
 def run_horizon(
     cfg: SystemConfig,
     devices: Sequence[DeviceRequest],
     rank_fn: RankFn = heuristic_rank,
     mobility_enabled: bool = True,
-    upgrade_policy: str = UPGRADE_ROUND_ROBIN,
 ) -> HorizonResult:
-    """Simulate all slots: admit arrivals, schedule each cluster, publish
-    status, apply mobility choices.
+    """Simulate all slots: admit arrivals, schedule each cluster, then let
+    unserved devices weigh a move against the residual capacity left.
 
     Purely online: slot-t decisions see only devices with arrival <= t.
     Movement departs in the deciding slot (that slot's action becomes the
@@ -321,14 +251,12 @@ def run_horizon(
 
         # aggregator phase: independent per cluster
         for agg, cluster in zip(aggs, clusters):
-            assigned = schedule_slot(agg, cluster, t, cfg.slot_hours, rank_fn, upgrade_policy)
+            assigned = schedule_slot(agg, cluster, t, cfg.slot_hours, rank_fn)
             for dev_id, action in assigned.items():
                 st = states[dev_id]
                 decisions[dev_id][t] = action
                 delivered = st.request.modes.power(action.mode_index) * cfg.slot_hours
                 st.progress_kwh += min(delivered, st.deficit_kwh)
-
-        status = publish_status(aggs, t)
 
         # device phase: unserved mobile devices may depart this slot
         if mobility_enabled:
@@ -339,7 +267,7 @@ def run_horizon(
                     continue
                 if st.completed:
                     continue
-                move = mobility_decision(st, status, cfg.movement, t, tau, cfg.beta_max)
+                move = mobility_decision(st, aggs, cfg.movement, t, tau, cfg.beta_max)
                 if move is not None:
                     opt = cfg.movement.option(move.origin, move.target)
                     decisions[st.request.id][t] = move
@@ -349,9 +277,7 @@ def run_horizon(
         # loss accounting on final slot actions, then retire finished devices
         for st in live:
             action = decisions[st.request.id][t]
-            breakdown = utility.slot_loss(
-                st, SlotDecision(st.request.id, t, action), t, cfg
-            )
+            breakdown = utility.slot_loss(st, action, t, cfg)
             st.loss_accum += breakdown.total
             st.deadline_loss_total += breakdown.deadline_loss
             st.mobility_loss_raw += breakdown.mobility_loss
@@ -380,12 +306,10 @@ def run_scenario(
     scenario: Scenario,
     rank_fn: RankFn = heuristic_rank,
     mobility_enabled: bool = True,
-    upgrade_policy: str = UPGRADE_ROUND_ROBIN,
 ) -> HorizonResult:
     return run_horizon(
         scenario.config,
         scenario.devices,
         rank_fn=rank_fn,
         mobility_enabled=mobility_enabled,
-        upgrade_policy=upgrade_policy,
     )

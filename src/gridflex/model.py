@@ -12,6 +12,7 @@ all mutation of runtime state.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
@@ -126,11 +127,6 @@ class MovementMatrix:
         return cls(num_aggregators, tuple(rows))
 
 
-def movement_total_cost(matrix: MovementMatrix, origin: int, target: int) -> float:
-    """Total kWh cost of a move between two aggregators (delay x per-slot cost)."""
-    return matrix.total_cost(origin, target)
-
-
 # ---------------------------------------------------------------------------
 # Device power modes and requests
 # ---------------------------------------------------------------------------
@@ -142,9 +138,9 @@ class PowerModeSet:
 
     `levels_kw` holds the non-zero modes; mode index 0 is the implicit
     0 kW (unserved) mode, so `power(i)` maps index 1..n onto the list.
-    Well-formedness (strictly ascending, positive, non-empty) is checked
-    by `validate_config`, not at construction, so malformed inputs can be
-    reported as violations instead of exceptions.
+    Well-formedness (strictly ascending, positive, finite, non-empty) is
+    checked by `validate_config`, not at construction, so malformed inputs
+    can be reported as violations instead of exceptions.
     """
 
     levels_kw: tuple[float, ...]
@@ -173,7 +169,7 @@ class PowerModeSet:
             return False
         prev = 0.0
         for level in self.levels_kw:
-            if level <= prev:
+            if not prev < level < math.inf:
                 return False
             prev = level
         return True
@@ -198,11 +194,6 @@ class DeviceRequest:
     criticality: float
     modes: PowerModeSet
     home: int
-
-    @property
-    def total_energy_kwh(self) -> float:
-        """Initial charge plus demanded energy (derived, never stored)."""
-        return self.initial_energy_kwh + self.demand_kwh
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +226,6 @@ class Idle:
 IDLE = Idle()
 
 Action = Union[Serve, Move, Idle]
-
-
-@dataclass(frozen=True)
-class SlotDecision:
-    device_id: str
-    slot: int
-    action: Action
 
 
 def encode_action(action: Action) -> str:
@@ -351,14 +335,6 @@ class DeviceState:
         return self.request.initial_energy_kwh + self.progress_kwh - self.extra_demand_kwh
 
     @property
-    def net_utility_kwh(self) -> float:
-        """Delivered energy net of movement spend, floored at -initial charge."""
-        return max(
-            self.progress_kwh - self.extra_demand_kwh,
-            -self.request.initial_energy_kwh,
-        )
-
-    @property
     def loss_total(self) -> float:
         """Accumulated utility loss: deadline + 2x mobility + stationary penalty.
 
@@ -419,6 +395,17 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
         out.append(Violation(None, "beta_max", "penalty constant > 0"))
     if cfg.movement.num_aggregators != cfg.num_aggregators:
         out.append(Violation(None, "movement", "matrix size matches aggregator count"))
+    config_floats = [("slot_hours", cfg.slot_hours), ("beta_max", cfg.beta_max)]
+    config_floats += [(f"budgets_kw[{j}]", b) for j, b in enumerate(cfg.budgets_kw)]
+    config_floats += [
+        (f"movement[{i}][{j}].cost_kwh_per_slot", opt.cost_kwh_per_slot)
+        for i, row in enumerate(cfg.movement.table)
+        for j, opt in enumerate(row)
+    ]
+    out.extend(
+        Violation(None, name, "finite") for name, value in config_floats
+        if not math.isfinite(value)
+    )
 
     seen: set[str] = set()
     for dev in devices:
@@ -430,7 +417,7 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
 
         if not dev.modes.is_well_formed():
             out.append(
-                Violation(dev.id, "modes", "non-empty, strictly ascending, positive")
+                Violation(dev.id, "modes", "non-empty, strictly ascending, positive, finite")
             )
         if dev.arrival_slot < 0:
             out.append(Violation(dev.id, "arrival_slot", "R_k >= 0"))
@@ -446,6 +433,9 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
             out.append(Violation(dev.id, "criticality", "criticality > 0"))
         if not 0 <= dev.home < cfg.num_aggregators:
             out.append(Violation(dev.id, "home", "home aggregator exists"))
+        for name in ("initial_energy_kwh", "demand_kwh", "criticality"):
+            if not math.isfinite(getattr(dev, name)):
+                out.append(Violation(dev.id, name, "finite"))
 
         if dev.modes.is_well_formed() and dev.arrival_slot < dev.deadline_slot:
             window = dev.deadline_slot - dev.arrival_slot
@@ -542,6 +532,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
+        if doc["schema_version"] != SCENARIO_SCHEMA_VERSION:
+            raise ScenarioFormatError(
+                f"unsupported schema_version {doc['schema_version']!r}"
+                f" (expected {SCENARIO_SCHEMA_VERSION})"
+            )
         cfg_doc = doc["config"]
         cfg = SystemConfig(
             num_aggregators=int(cfg_doc["num_aggregators"]),

@@ -1,14 +1,10 @@
-"""Priority scoring and deterministic ranking for the online heuristic.
+"""Priority scoring for the online heuristic.
 
-The score is a pure function of deficit and deadline distance; ranking
-breaks ties on criticality (higher first), then on the smallest non-zero
-power mode (easier to fit), then on device id so the order is total and
-reproducible.
+The score is a pure function of deficit and deadline distance;
+`heuristic.heuristic_rank` orders a cluster by it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 def priority(progress_kwh: float, demand_kwh: float, slot: int, deadline_slot: int) -> float:
@@ -25,20 +21,3 @@ def priority(progress_kwh: float, demand_kwh: float, slot: int, deadline_slot: i
     if slot < deadline_slot:
         return ratio / (deadline_slot - slot)
     return ratio
-
-
-@dataclass(frozen=True)
-class PriorityEntry:
-    device_id: str
-    value: float
-    criticality: float
-    min_mode_kw: float
-
-
-def rank(entries: list[PriorityEntry]) -> list[PriorityEntry]:
-    """Descending by score; ties by higher criticality, then smaller
-    minimum mode, then id."""
-    return sorted(
-        entries,
-        key=lambda e: (-e.value, -e.criticality, e.min_mode_kw, e.device_id),
-    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import (
     DEFAULT_BETA_MAX,
@@ -22,7 +22,6 @@ from .model import (
     MovementMatrix,
     PowerModeSet,
     Serve,
-    SlotDecision,
     SystemConfig,
 )
 
@@ -44,27 +43,6 @@ class LossBreakdown:
     @property
     def total(self) -> float:
         return self.deadline_loss + 2.0 * self.mobility_loss + self.stationary_penalty
-
-
-def accumulated_utility(
-    modes: PowerModeSet,
-    history: Iterable[SlotDecision],
-    up_to_slot: int,
-    slot_hours: float,
-) -> float:
-    """Energy delivered through slot `up_to_slot` inclusive.
-
-    Serve slots contribute mode power x slot length; Idle and Move slots
-    contribute nothing. Capping against the device's target is the
-    engine's job, not this sum's.
-    """
-    total = 0.0
-    for decision in history:
-        if decision.slot > up_to_slot:
-            continue
-        if isinstance(decision.action, Serve):
-            total += modes.power(decision.action.mode_index) * slot_hours
-    return total
 
 
 def deadline_loss(
@@ -109,7 +87,7 @@ def stationary_penalty(
 
 def slot_loss(
     state: DeviceState,
-    decision: SlotDecision,
+    action: Action,
     slot: int,
     cfg: SystemConfig,
 ) -> LossBreakdown:
@@ -128,13 +106,10 @@ def slot_loss(
         state.request.criticality,
         cfg.beta_max,
     )
-    m_loss = mobility_loss(cfg.movement, decision.action)
-    if isinstance(decision.action, Move):
+    m_loss = mobility_loss(cfg.movement, action)
+    if isinstance(action, Move):
         pen = stationary_penalty(
-            state.request.mobile,
-            decision.action.origin,
-            decision.action.target,
-            cfg.beta_max,
+            state.request.mobile, action.origin, action.target, cfg.beta_max
         )
     else:
         pen = 0.0

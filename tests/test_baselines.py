@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridflex import engine, workload
-from gridflex.baselines import SCHEDULERS, get_scheduler, set_mobility_enabled
+from gridflex.baselines import SCHEDULERS, get_scheduler
 from gridflex.heuristic import schedule_slot
 from gridflex.model import (
     AggregatorState,
@@ -37,14 +37,6 @@ class TestRegistry:
     def test_unknown_scheduler(self):
         with pytest.raises(KeyError):
             get_scheduler("fifo")
-
-    def test_set_mobility_enabled_copies(self):
-        spec = get_scheduler("edf")
-        flipped = set_mobility_enabled(spec, True)
-        assert flipped.mobility_default is True
-        assert spec.mobility_default is False
-        assert flipped.rank_fn is spec.rank_fn
-
 
 class TestMobilitySwitch:
     def test_disabled_run_has_no_moves_or_mobility_loss(self):

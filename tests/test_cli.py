@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and output idempotence."""
 
 import json
+import math
 
 import pytest
 
@@ -137,6 +138,48 @@ class TestMalformedInput:
         bad = tmp_path / "zero_delay.json"
         bad.write_text(json.dumps(doc))
         self.assert_rejected(["run", str(bad)], capsys)
+
+    def test_run_unknown_schema_version(self, tmp_path, scenario_file, capsys):
+        doc = json.loads(scenario_file.read_text())
+        doc["schema_version"] = 99
+        bad = tmp_path / "v99.json"
+        bad.write_text(json.dumps(doc))
+        self.assert_rejected(["run", str(bad)], capsys)
+
+
+def _nan_initial_energy(doc):
+    doc["devices"][0]["initial_energy_kwh"] = math.nan
+
+
+def _nan_mode_level(doc):
+    doc["devices"][0]["modes_kw"][0] = math.nan
+
+
+def _infinite_top_mode(doc):
+    doc["devices"][0]["modes_kw"][-1] = math.inf
+
+
+def _nan_movement_cost(doc):
+    doc["config"]["movement"]["pairs"][0]["cost_kwh_per_slot"] = math.nan
+
+
+class TestNonFiniteInput:
+    """JSON's NaN and Infinity literals load as floats; `run` must refuse them."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [_nan_initial_energy, _nan_mode_level, _infinite_top_mode, _nan_movement_cost],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_run_rejects(self, mutate, tmp_path, scenario_file, capsys):
+        doc = json.loads(scenario_file.read_text())
+        mutate(doc)
+        bad = tmp_path / "non_finite.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", str(bad)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("scenario invalid: ")
+        assert "finite" in err
 
 
 class TestSolveExact:

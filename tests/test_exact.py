@@ -211,7 +211,8 @@ class TestValidateSchedule:
         devs = [make_request("a", [2], 1.0, 4, arrival=2)]
         decisions = {"a": [Serve(1, 0), IDLE, IDLE, IDLE]}
         report = validate_schedule(decisions, cfg, devs)
-        assert not report.checks["i"].passed
+        assert not report.checks["ii"].passed
+        assert report.checks["i"].passed
 
     def test_bad_mode_index_fails(self):
         cfg = make_cfg(horizon=2)

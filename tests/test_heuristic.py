@@ -5,10 +5,8 @@ import pytest
 from gridflex import engine, utility, workload
 from gridflex.baselines import edf_rank, hp_rank
 from gridflex.heuristic import (
-    UPGRADE_GREEDY,
     heuristic_rank,
     mobility_decision,
-    publish_status,
     run_horizon,
     schedule_slot,
 )
@@ -109,66 +107,76 @@ class TestScheduleSlot:
         dev = make_state(make_request("a", [2], demand=10.0))
         assert schedule_slot(agg, [dev], slot=0, slot_hours=0.5) == {}
 
-    def test_greedy_and_round_robin_respect_budget(self):
-        for policy in (UPGRADE_GREEDY, "round-robin"):
-            agg = AggregatorState(index=0, budget_kw=7.0)
-            devs = [
-                make_state(make_request("a", [1, 3, 5], demand=60.0, deadline=2)),
-                make_state(make_request("b", [1, 3, 5], demand=60.0, deadline=3)),
-            ]
-            assigned = schedule_slot(agg, devs, 0, 0.5, upgrade_policy=policy)
-            total = sum(
-                devs[0].request.modes.power(a.mode_index) for a in assigned.values()
-            )
-            assert total <= 7.0 + 1e-9
+    def test_round_robin_respects_budget(self):
+        agg = AggregatorState(index=0, budget_kw=7.0)
+        devs = [
+            make_state(make_request("a", [1, 3, 5], demand=60.0, deadline=2)),
+            make_state(make_request("b", [1, 3, 5], demand=60.0, deadline=3)),
+        ]
+        assigned = schedule_slot(agg, devs, 0, 0.5)
+        total = sum(
+            devs[0].request.modes.power(a.mode_index) for a in assigned.values()
+        )
+        assert total <= 7.0 + 1e-9
 
     def test_round_robin_spreads_residual_across_priorities(self):
-        # 6 kW over two eager devices: round-robin gives 3+3, greedy gives 5+1
-        def run(policy):
-            agg = AggregatorState(index=0, budget_kw=6.0)
-            devs = [
-                make_state(make_request("a", [1, 3, 5], demand=60.0, deadline=2)),
-                make_state(make_request("b", [1, 3, 5], demand=60.0, deadline=3)),
-            ]
-            return schedule_slot(agg, devs, 0, 0.5, upgrade_policy=policy)
-
-        rr = run("round-robin")
-        greedy = run(UPGRADE_GREEDY)
+        # 6 kW over two eager devices: 3+3, not 5+1 to the more urgent one
+        agg = AggregatorState(index=0, budget_kw=6.0)
+        devs = [
+            make_state(make_request("a", [1, 3, 5], demand=60.0, deadline=2)),
+            make_state(make_request("b", [1, 3, 5], demand=60.0, deadline=3)),
+        ]
+        rr = schedule_slot(agg, devs, 0, 0.5)
         assert rr["a"] == Serve(2, 0) and rr["b"] == Serve(2, 0)
-        assert greedy["a"] == Serve(3, 0) and greedy["b"] == Serve(1, 0)
+
+
+def late_mover(modes=(2,)):
+    """A mobile device six slots past its deadline at slot 8: staying
+    costs far more than any affordable move."""
+    return make_state(
+        make_request("a", modes, demand=1000.0, deadline=2, mobile=True, initial=5.0)
+    )
 
 
 class TestPublishStatus:
+    """Devices read each aggregator's residual capacity left after the
+    slot's scheduling straight from the `AggregatorState` list."""
+
     def test_exhausted_budgets_have_zero_residual(self):
-        aggs = [AggregatorState(index=0, budget_kw=4.0, committed_kw=4.0)]
-        status = publish_status(aggs, 0)
-        assert status[0].residual_kw == 0.0
+        cfg = make_cfg(num_aggregators=2)
+        aggs = [AggregatorState(index=j, budget_kw=4.0, committed_kw=4.0) for j in range(2)]
+        assert aggs[1].residual_kw == 0.0
+        assert mobility_decision(late_mover(), aggs, cfg.movement, 8, 20, cfg.beta_max) is None
 
     def test_residual_subtraction(self):
-        aggs = [AggregatorState(index=0, budget_kw=500.0, committed_kw=80.0)]
-        status = publish_status(aggs, 0)
-        assert status[0].residual_kw == pytest.approx(420.0)
+        # 500 - 80 leaves exactly the device's 420 kW lowest mode; 81 leaves too little
+        cfg = make_cfg(num_aggregators=2)
+        aggs = [AggregatorState(index=j, budget_kw=500.0, committed_kw=80.0) for j in range(2)]
+        assert aggs[1].residual_kw == pytest.approx(420.0)
+        dev = late_mover(modes=(420,))
+        assert mobility_decision(dev, aggs, cfg.movement, 8, 20, cfg.beta_max) == Move(0, 1)
+        aggs[1].committed_kw = 81.0
+        assert mobility_decision(dev, aggs, cfg.movement, 8, 20, cfg.beta_max) is None
 
     def test_one_entry_per_aggregator(self):
-        aggs = [AggregatorState(index=j, budget_kw=500.0) for j in range(5)]
-        status = publish_status(aggs, 3)
-        assert [s.aggregator for s in status] == [0, 1, 2, 3, 4]
+        # only the farthest of five aggregators has room: every one is considered
+        cfg = make_cfg(num_aggregators=5)
+        aggs = [AggregatorState(index=j, budget_kw=4.0, committed_kw=4.0) for j in range(4)]
+        aggs.append(AggregatorState(index=4, budget_kw=500.0))
+        move = mobility_decision(late_mover(), aggs, cfg.movement, 8, 20, cfg.beta_max)
+        assert move == Move(0, 4)
+
+
+def open_aggregators(count):
+    return [AggregatorState(index=j, budget_kw=500.0) for j in range(count)]
 
 
 class TestMobilityDecision:
-    def make_status(self, residuals):
-        return [
-            type("S", (), {})() or None
-            for _ in residuals
-        ]
-
     def test_non_mobile_never_moves(self):
         cfg = make_cfg(num_aggregators=2)
         dev = make_state(make_request("a", [2], mobile=False, initial=5.0))
-        status = publish_status(
-            [AggregatorState(index=j, budget_kw=500.0) for j in range(2)], 0
-        )
-        assert mobility_decision(dev, status, cfg.movement, 8, 20, cfg.beta_max) is None
+        aggs = open_aggregators(2)
+        assert mobility_decision(dev, aggs, cfg.movement, 8, 20, cfg.beta_max) is None
 
     def test_late_needy_device_moves_to_cheapest_viable(self):
         cfg = make_cfg(num_aggregators=3)
@@ -176,10 +184,7 @@ class TestMobilityDecision:
             make_request("a", [2], demand=10.0, deadline=6, mobile=True, initial=5.0),
             progress=4.0,
         )
-        status = publish_status(
-            [AggregatorState(index=j, budget_kw=500.0) for j in range(3)], 8
-        )
-        move = mobility_decision(dev, status, cfg.movement, 8, 20, cfg.beta_max)
+        move = mobility_decision(dev, open_aggregators(3), cfg.movement, 8, 20, cfg.beta_max)
         assert move == Move(0, 1)  # nearest cluster is cheapest
 
     def test_no_residual_anywhere_means_stay(self):
@@ -188,38 +193,31 @@ class TestMobilityDecision:
             make_request("a", [2], demand=10.0, deadline=2, mobile=True, initial=5.0)
         )
         aggs = [AggregatorState(index=j, budget_kw=4.0, committed_kw=4.0) for j in range(2)]
-        status = publish_status(aggs, 8)
-        assert mobility_decision(dev, status, cfg.movement, 8, 20, cfg.beta_max) is None
+        assert mobility_decision(dev, aggs, cfg.movement, 8, 20, cfg.beta_max) is None
 
     def test_unaffordable_move_means_stay(self):
         cfg = make_cfg(num_aggregators=2, cost=10.0)
         dev = make_state(
             make_request("a", [2], demand=10.0, deadline=2, mobile=True, initial=0.5)
         )
-        status = publish_status(
-            [AggregatorState(index=j, budget_kw=500.0) for j in range(2)], 8
-        )
-        assert mobility_decision(dev, status, cfg.movement, 8, 20, cfg.beta_max) is None
+        aggs = open_aggregators(2)
+        assert mobility_decision(dev, aggs, cfg.movement, 8, 20, cfg.beta_max) is None
 
     def test_on_time_device_stays(self):
         cfg = make_cfg(num_aggregators=2)
         dev = make_state(
             make_request("a", [2], demand=10.0, deadline=15, mobile=True, initial=5.0)
         )
-        status = publish_status(
-            [AggregatorState(index=j, budget_kw=500.0) for j in range(2)], 3
-        )
-        assert mobility_decision(dev, status, cfg.movement, 3, 20, cfg.beta_max) is None
+        aggs = open_aggregators(2)
+        assert mobility_decision(dev, aggs, cfg.movement, 3, 20, cfg.beta_max) is None
 
     def test_transit_must_fit_horizon(self):
         cfg = make_cfg(num_aggregators=2)
         dev = make_state(
             make_request("a", [2], demand=10.0, deadline=2, mobile=True, initial=5.0)
         )
-        status = publish_status(
-            [AggregatorState(index=j, budget_kw=500.0) for j in range(2)], 19
-        )
-        assert mobility_decision(dev, status, cfg.movement, 19, 20, cfg.beta_max) is None
+        aggs = open_aggregators(2)
+        assert mobility_decision(dev, aggs, cfg.movement, 19, 20, cfg.beta_max) is None
 
 
 class TestRunHorizon:
@@ -336,19 +334,6 @@ class TestRunHorizon:
         st = result.states["a"]
         assert st.progress_kwh == pytest.approx(3.0)
 
-    def test_schedule_for_slot_covers_active_devices(self):
-        cfg = make_cfg(num_aggregators=2, budget=3.0, horizon=10)
-        devs = [
-            make_request("a", [1, 2], demand=4.0, deadline=8, home=0),
-            make_request("z", [2], demand=2.0, deadline=10, arrival=5, home=1),
-        ]
-        result = run_horizon(cfg, devs)
-        early = result.schedule_for_slot(2)
-        assert [d.device_id for d in early.decisions] == ["a"]
-        late = result.schedule_for_slot(6)
-        assert [d.device_id for d in late.decisions] == ["a", "z"]
-        assert all(d.slot == 6 for d in late.decisions)
-
 
 def rows_of(result):
     return {dev_id: [encode_action(a) for a in row] for dev_id, row in result.decisions.items()}
@@ -430,9 +415,9 @@ def count_slot_loss_calls(monkeypatch):
     calls = []
     original = utility.slot_loss
 
-    def counting(state, decision, slot, cfg):
+    def counting(state, action, slot, cfg):
         calls.append((state.request.id, slot))
-        return original(state, decision, slot, cfg)
+        return original(state, action, slot, cfg)
 
     monkeypatch.setattr(utility, "slot_loss", counting)
     return calls

@@ -1,5 +1,7 @@
 """Model type invariants, validation, and scenario round-trips."""
 
+import math
+
 import pytest
 
 from gridflex.model import (
@@ -11,7 +13,6 @@ from gridflex.model import (
     ScenarioFormatError,
     SystemConfig,
     UnknownAggregatorError,
-    movement_total_cost,
     scenario_from_dict,
     scenario_to_dict,
     validate_config,
@@ -47,15 +48,15 @@ def make_device(**overrides):
 class TestMovementMatrix:
     def test_diagonal_is_zero_cost(self):
         mm = MovementMatrix.line(3)
-        assert movement_total_cost(mm, 1, 1) == 0.0
+        assert mm.total_cost(1, 1) == 0.0
 
     def test_total_cost_two_slots(self):
         mm = MovementMatrix.uniform(2, delay_slots=2, cost_kwh_per_slot=0.15)
-        assert movement_total_cost(mm, 0, 1) == pytest.approx(0.30)
+        assert mm.total_cost(0, 1) == pytest.approx(0.30)
 
     def test_total_cost_four_slots(self):
         mm = MovementMatrix.line(5, cost_kwh_per_slot=0.15)
-        assert movement_total_cost(mm, 0, 4) == pytest.approx(0.60)
+        assert mm.total_cost(0, 4) == pytest.approx(0.60)
 
     def test_lookup_is_total_over_valid_pairs(self):
         mm = MovementMatrix.line(4)
@@ -151,9 +152,40 @@ class TestValidateConfig:
         )
         assert any("budget > 0" in v.rule for v in validate_config(cfg, []))
 
-    def test_total_energy_is_derived(self):
-        dev = make_device(initial_energy_kwh=2.0, demand_kwh=3.0)
-        assert dev.total_energy_kwh == pytest.approx(5.0)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_initial_energy_flagged(self, value):
+        dev = make_device(initial_energy_kwh=value)
+        violations = validate_config(make_config(), [dev])
+        assert [(v.field, v.rule) for v in violations] == [("initial_energy_kwh", "finite")]
+
+    def test_nan_mode_level_flagged(self):
+        dev = make_device(modes=PowerModeSet((1.0, math.nan, 3.0)))
+        violations = validate_config(make_config(), [dev])
+        assert [v.field for v in violations] == ["modes"]
+
+    def test_infinite_top_mode_flagged(self):
+        dev = make_device(modes=PowerModeSet((1.0, 2.0, math.inf)))
+        violations = validate_config(make_config(), [dev])
+        assert [v.field for v in violations] == ["modes"]
+
+    def test_nan_movement_cost_flagged(self):
+        cfg = make_config()
+        cfg = SystemConfig(
+            num_aggregators=2,
+            budgets_kw=cfg.budgets_kw,
+            horizon_slots=cfg.horizon_slots,
+            slot_hours=cfg.slot_hours,
+            movement=MovementMatrix.uniform(2, 1, math.nan),
+        )
+        violations = validate_config(cfg, [make_device()])
+        assert {(v.field, v.rule) for v in violations} == {
+            ("movement[0][1].cost_kwh_per_slot", "finite"),
+            ("movement[1][0].cost_kwh_per_slot", "finite"),
+        }
+
+    def test_infinite_slot_length_flagged(self):
+        cfg = make_config(slot_hours=math.inf)
+        assert ("slot_hours", "finite") in [(v.field, v.rule) for v in validate_config(cfg, [])]
 
 
 class TestScenarioRoundTrip:
@@ -168,3 +200,9 @@ class TestScenarioRoundTrip:
     def test_missing_field_raises_format_error(self):
         with pytest.raises(ScenarioFormatError):
             scenario_from_dict({"id": "x", "devices": []})
+
+    def test_unknown_schema_version_rejected(self):
+        doc = scenario_to_dict(Scenario("v", make_config(), (make_device(),)))
+        doc["schema_version"] = 99
+        with pytest.raises(ScenarioFormatError, match="schema_version 99"):
+            scenario_from_dict(doc)

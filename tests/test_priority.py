@@ -1,9 +1,11 @@
-"""Priority score and ranking determinism."""
+"""Priority score and the heuristic's ranking tie-breaks."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gridflex.priority import PriorityEntry, priority, rank
+from gridflex.heuristic import heuristic_rank
+from gridflex.model import AtCluster, DeviceRequest, DeviceState, PowerModeSet
+from gridflex.priority import priority
 
 
 class TestPriorityValue:
@@ -43,36 +45,59 @@ class TestPriorityValue:
         assert b > a
 
 
-def entry(dev_id, value, kappa=1.6, min_mode=1.0):
-    return PriorityEntry(dev_id, value, kappa, min_mode)
+SLOT = 10
+
+
+def state(dev_id, progress=0.0, deadline=SLOT, kappa=1.6, min_mode=1.0):
+    """A 10 kWh request ranked at `SLOT`: at its deadline the score is the
+    deficit ratio, each slot of lateness multiplies it."""
+    request = DeviceRequest(
+        id=dev_id,
+        arrival_slot=0,
+        deadline_slot=deadline,
+        mobile=False,
+        initial_energy_kwh=0.0,
+        demand_kwh=10.0,
+        criticality=kappa,
+        modes=PowerModeSet((min_mode, 5.0)),
+        home=0,
+    )
+    st = DeviceState(request=request, location=AtCluster(0))
+    st.progress_kwh = progress
+    return st
+
+
+def ranked_ids(states):
+    return [d.request.id for d in heuristic_rank(states, SLOT)]
 
 
 class TestRank:
     def test_single_entry(self):
-        entries = [entry("a", 0.5)]
-        assert rank(entries) == entries
+        states = [state("a", progress=5.0)]
+        assert heuristic_rank(states, SLOT) == states
 
     def test_descending_by_value(self):
-        entries = [entry("a", 2.0), entry("b", 0.1), entry("c", 1.0)]
-        assert [e.device_id for e in rank(entries)] == ["a", "c", "b"]
+        # scores 2.0 (two slots late), 0.1 and 1.0
+        states = [state("a", deadline=SLOT - 2), state("b", progress=9.0), state("c")]
+        assert ranked_ids(states) == ["a", "c", "b"]
 
     def test_tie_broken_by_criticality(self):
-        entries = [entry("a", 1.0, kappa=1.6), entry("b", 1.0, kappa=2.0)]
-        assert [e.device_id for e in rank(entries)] == ["b", "a"]
+        states = [state("a", kappa=1.6), state("b", kappa=2.0)]
+        assert ranked_ids(states) == ["b", "a"]
 
     def test_tie_broken_by_min_mode_then_id(self):
-        entries = [
-            entry("b", 1.0, kappa=1.6, min_mode=2.0),
-            entry("a", 1.0, kappa=1.6, min_mode=1.0),
-            entry("c", 1.0, kappa=1.6, min_mode=1.0),
+        states = [
+            state("b", kappa=1.6, min_mode=2.0),
+            state("a", kappa=1.6, min_mode=1.0),
+            state("c", kappa=1.6, min_mode=1.0),
         ]
-        assert [e.device_id for e in rank(entries)] == ["a", "c", "b"]
+        assert ranked_ids(states) == ["a", "c", "b"]
 
     @given(
         st.lists(
             st.tuples(
-                st.integers(0, 50),
-                st.sampled_from([0.1, 0.5, 1.0]),
+                st.sampled_from([0.0, 5.0, 9.0]),
+                st.sampled_from([SLOT - 2, SLOT, SLOT + 2]),
                 st.sampled_from([1.6, 1.8, 2.0]),
                 st.sampled_from([1.0, 2.0, 3.0]),
             ),
@@ -81,9 +106,10 @@ class TestRank:
         st.randoms(),
     )
     def test_order_independent_of_input_permutation(self, raw, rnd):
-        entries = [
-            entry(f"d{i:02d}", value, kappa, mode) for i, (_, value, kappa, mode) in enumerate(raw)
+        states = [
+            state(f"d{i:02d}", progress, deadline, kappa, mode)
+            for i, (progress, deadline, kappa, mode) in enumerate(raw)
         ]
-        shuffled = entries[:]
+        shuffled = states[:]
         rnd.shuffle(shuffled)
-        assert rank(entries) == rank(shuffled)
+        assert ranked_ids(states) == ranked_ids(shuffled)

@@ -16,12 +16,10 @@ from gridflex.model import (
     MovementMatrix,
     PowerModeSet,
     Serve,
-    SlotDecision,
     SystemConfig,
 )
 from gridflex.utility import (
     LossBreakdown,
-    accumulated_utility,
     deadline_loss,
     mobility_loss,
     slot_loss,
@@ -61,31 +59,6 @@ def make_cfg(num_aggregators=3, cost=0.15):
         slot_hours=0.5,
         movement=MovementMatrix.line(num_aggregators, cost),
     )
-
-
-class TestAccumulatedUtility:
-    def test_empty_history(self):
-        modes = PowerModeSet((2.0,))
-        assert accumulated_utility(modes, [], 10, 0.5) == 0.0
-
-    def test_three_slots_at_two_kw(self):
-        modes = PowerModeSet((2.0,))
-        history = [SlotDecision("u0", t, Serve(1, 0)) for t in range(3)]
-        assert accumulated_utility(modes, history, 2, 0.5) == pytest.approx(3.0)
-
-    def test_mixed_serve_idle(self):
-        modes = PowerModeSet((1.0, 3.0))
-        history = [
-            SlotDecision("u0", 0, Serve(1, 0)),
-            SlotDecision("u0", 1, IDLE),
-            SlotDecision("u0", 2, Serve(2, 0)),
-        ]
-        assert accumulated_utility(modes, history, 2, 0.5) == pytest.approx(2.0)
-
-    def test_cutoff_excludes_later_slots(self):
-        modes = PowerModeSet((2.0,))
-        history = [SlotDecision("u0", t, Serve(1, 0)) for t in range(4)]
-        assert accumulated_utility(modes, history, 1, 0.5) == pytest.approx(2.0)
 
 
 class TestDeadlineLoss:
@@ -185,24 +158,21 @@ class TestSlotLoss:
         cfg = make_cfg()
         state = make_state()
         state.progress_kwh = 2.0
-        decision = SlotDecision("u0", 3, Serve(1, 0))
-        assert slot_loss(state, decision, 3, cfg).total == 0.0
+        assert slot_loss(state, Serve(1, 0), 3, cfg).total == 0.0
 
     def test_moving_late_device_compounds_terms(self):
         # deficit 6, kappa 1.6, 2 slots late, plus one transit slot at 0.15
         cfg = make_cfg()
         state = make_state(demand=10.0, deadline=6, kappa=1.6)
         state.progress_kwh = 4.0
-        decision = SlotDecision("u0", 8, Move(0, 1))
-        breakdown = slot_loss(state, decision, 8, cfg)
+        breakdown = slot_loss(state, Move(0, 1), 8, cfg)
         want = hp_deadline_loss(6.0, 1.6, 2) + 2 * 0.15
         assert breakdown.total == pytest.approx(want, rel=REL)
 
     def test_stationary_move_dominates(self):
         cfg = make_cfg()
         state = make_state(mobile=False)
-        decision = SlotDecision("u0", 2, Move(0, 1))
-        breakdown = slot_loss(state, decision, 2, cfg)
+        breakdown = slot_loss(state, Move(0, 1), 2, cfg)
         assert breakdown.total >= cfg.beta_max
 
     @given(
@@ -216,11 +186,6 @@ class TestSlotLoss:
 
 
 class TestDeviceStateLedger:
-    def test_net_utility_floor(self):
-        state = make_state(initial=1.0)
-        state.extra_demand_kwh = 5.0  # hypothetical over-spend
-        assert state.net_utility_kwh == pytest.approx(-1.0)
-
     def test_available_energy_tracks_moves(self):
         state = make_state(initial=1.0)
         state.progress_kwh = 2.0
