@@ -52,7 +52,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.out:
         save_scenario(scenario, args.out)
     else:
-        print(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True))
+        print(json.dumps(scenario_to_dict(scenario), sort_keys=True))
     return EXIT_OK
 
 
@@ -69,7 +69,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.out:
         save_scenario(scenario, args.out)
     else:
-        print(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True))
+        print(json.dumps(scenario_to_dict(scenario), sort_keys=True))
     return EXIT_OK
 
 

@@ -140,11 +140,12 @@ def run(
     per_device = {}
     for dev_id in sorted(horizon.states):
         st = horizon.states[dev_id]
+        loss = horizon.losses[dev_id]
         per_device[dev_id] = {
-            "loss_total": st.loss_total,
-            "deadline_loss": st.deadline_loss_total,
-            "mobility_loss_weighted": 2.0 * st.mobility_loss_raw,
-            "stationary_penalty": st.stationary_penalty_total,
+            "loss_total": loss.total,
+            "deadline_loss": loss.deadline_loss,
+            "mobility_loss_weighted": 2.0 * loss.mobility_loss,
+            "stationary_penalty": loss.stationary_penalty,
             "progress_kwh": st.progress_kwh,
             "extra_demand_kwh": st.extra_demand_kwh,
             "completed": st.completed,
@@ -166,23 +167,14 @@ def run(
 def replay_loss(scenario: Scenario, decisions: dict[str, list[Action]]) -> float:
     """Recompute the total loss of a decision matrix from scratch.
 
-    Walks devices in id order and slots in order, using only the pure
-    loss functions; must reproduce a RunResult's total exactly.
+    Scores each row with `utility.row_loss` and sums the rows in id
+    order; must reproduce a RunResult's total exactly.
     """
-    total = 0.0
     by_id = scenario.device_map()
-    for dev_id in sorted(decisions):
-        dev = by_id[dev_id]
-        total += utility.replay_device_loss(
-            dev.modes,
-            dev.demand_kwh,
-            dev.deadline_slot,
-            dev.criticality,
-            dev.mobile,
-            decisions[dev_id],
-            scenario.config,
-        )
-    return total
+    return sum(
+        utility.row_loss(by_id[dev_id], decisions[dev_id], scenario.config).total
+        for dev_id in sorted(decisions)
+    )
 
 
 # ---------------------------------------------------------------------------

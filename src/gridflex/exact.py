@@ -309,18 +309,10 @@ class _Searcher:
         decisions = {
             dev.id: list(self.best_actions[k]) for k, dev in enumerate(self.devices)
         }
-        # rescore through the replay path so the reported optimum is
-        # float-identical to any engine-scored schedule it ties with
+        # rescore through the engine's row scorer so the reported optimum
+        # is float-identical to any engine-scored schedule it ties with
         loss = sum(
-            utility.replay_device_loss(
-                dev.modes,
-                dev.demand_kwh,
-                dev.deadline_slot,
-                dev.criticality,
-                dev.mobile,
-                decisions[dev.id],
-                self.cfg,
-            )
+            utility.row_loss(dev, decisions[dev.id], self.cfg).total
             for dev in sorted(self.devices, key=lambda d: d.id)
         )
         return ExactResult(loss, decisions, self.nodes)

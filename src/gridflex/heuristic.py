@@ -181,12 +181,13 @@ class HorizonResult:
 
     decisions: dict[str, list[Action]]
     states: dict[str, DeviceState]
+    losses: dict[str, utility.RowLoss]  # each decision row, scored after the horizon
     committed_kw: list[list[float]]  # [slot][aggregator]
     slot_wall_s: list[float] = field(default_factory=list)
 
     @property
     def total_loss(self) -> float:
-        return sum(self.states[dev_id].loss_total for dev_id in sorted(self.states))
+        return sum(self.losses[dev_id].total for dev_id in sorted(self.losses))
 
 
 def run_horizon(
@@ -201,18 +202,18 @@ def run_horizon(
     Purely online: slot-t decisions see only devices with arrival <= t.
     Movement departs in the deciding slot (that slot's action becomes the
     first transit slot) and the device is schedulable at the target after
-    the edge's delay. Losses accumulate per device with the deadline term
-    evaluated on post-service progress.
+    the edge's delay. Once the last slot is done, each device's finished
+    row is scored by `utility.row_loss`.
 
     Each slot visits only the live set, kept in device-id order: devices
     that have arrived and can still cost something. Arrivals join it at
     their arrival slot. A device leaves it for good once it sits at a
     cluster, is `completed`, and has progress >= `demand_kwh`: from then
-    on its action is Idle and its slot loss is exactly 0, so its row and
-    totals are already final. Both conditions are needed, since
-    `completed` allows an EPS shortfall that the deadline term still
-    charges. Work per slot is therefore proportional to live devices,
-    not to every request that has arrived.
+    on its action is Idle and its slot loss is exactly 0, so its row is
+    already final. Both conditions are needed, since `completed` allows
+    an EPS shortfall that the deadline term still charges. Work per slot
+    is therefore proportional to live devices, not to every request that
+    has arrived.
     """
     tau = cfg.horizon_slots
     ordered = sorted(devices, key=lambda d: d.id)
@@ -274,21 +275,19 @@ def run_horizon(
                     st.location = InTransit(move.origin, move.target, t + opt.delay_slots)
                     st.extra_demand_kwh += opt.delay_slots * opt.cost_kwh_per_slot
 
-        # loss accounting on final slot actions, then retire finished devices
-        for st in live:
-            action = decisions[st.request.id][t]
-            breakdown = utility.slot_loss(st, action, t, cfg)
-            st.loss_accum += breakdown.total
-            st.deadline_loss_total += breakdown.deadline_loss
-            st.mobility_loss_raw += breakdown.mobility_loss
-            st.stationary_penalty_total += breakdown.stationary_penalty
+        # devices whose rows are final leave the live set
         live = [st for st in live if not _retired(st)]
 
         committed.append([agg.committed_kw for agg in aggs])
         slot_wall.append(time.perf_counter() - t0)
 
+    losses = {d.id: utility.row_loss(d, decisions[d.id], cfg) for d in ordered}
     return HorizonResult(
-        decisions=decisions, states=states, committed_kw=committed, slot_wall_s=slot_wall
+        decisions=decisions,
+        states=states,
+        losses=losses,
+        committed_kw=committed,
+        slot_wall_s=slot_wall,
     )
 
 

@@ -304,17 +304,14 @@ class DeviceState:
     `extra_demand_kwh` is the movement energy the grid must re-supply on
     top of the demanded energy; it is committed in full when a move
     starts. `progress_kwh` counts all energy delivered and is capped at
-    `target_kwh`.
+    `target_kwh`. The state holds no loss: a device's loss is scored
+    from its finished decision row (`utility.row_loss`).
     """
 
     request: DeviceRequest
     location: Location
     progress_kwh: float = 0.0
     extra_demand_kwh: float = 0.0
-    loss_accum: float = 0.0
-    deadline_loss_total: float = 0.0
-    mobility_loss_raw: float = 0.0
-    stationary_penalty_total: float = 0.0
 
     @property
     def target_kwh(self) -> float:
@@ -333,15 +330,6 @@ class DeviceState:
     def available_energy_kwh(self) -> float:
         """Energy on board: initial charge plus delivered minus spent moving."""
         return self.request.initial_energy_kwh + self.progress_kwh - self.extra_demand_kwh
-
-    @property
-    def loss_total(self) -> float:
-        """Accumulated utility loss: deadline + 2x mobility + stationary penalty.
-
-        Slot-order accumulation so a replay of the decision row reproduces
-        the value bit-for-bit; the component fields are report-only.
-        """
-        return self.loss_accum
 
 
 @dataclass
@@ -566,7 +554,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True))
+    Path(path).write_text(json.dumps(scenario_to_dict(scenario), sort_keys=True))
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -1,11 +1,13 @@
-"""Per-slot utility accounting: delivered energy and the three-loss model.
+"""The three-term loss model and the scoring of decision rows.
 
 All functions are pure. Losses are non-negative by construction: the
 deadline term is deficit * exp(rate * lateness), the mobility term is the
 per-slot movement cost (weighted 2x when rolled into a slot total), and
 the stationary penalty fires only when a non-mobile device changes
 cluster. Each term is clamped at the configured penalty ceiling so long
-horizons cannot overflow the accumulator.
+horizons cannot overflow a row total. `row_loss` is the one place a
+device's loss is summed: the engine, the replay check and the exact
+solver all score a finished decision row through it.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from typing import Sequence
 from .model import (
     DEFAULT_BETA_MAX,
     Action,
-    DeviceState,
+    DeviceRequest,
     Move,
     MovementMatrix,
-    PowerModeSet,
     Serve,
     SystemConfig,
 )
@@ -86,7 +87,8 @@ def stationary_penalty(
 
 
 def slot_loss(
-    state: DeviceState,
+    request: DeviceRequest,
+    progress_kwh: float,
     action: Action,
     slot: int,
     cfg: SystemConfig,
@@ -99,60 +101,64 @@ def slot_loss(
     when applicable, the running deadline loss.
     """
     d_loss = deadline_loss(
-        state.progress_kwh,
-        state.request.demand_kwh,
+        progress_kwh,
+        request.demand_kwh,
         slot,
-        state.request.deadline_slot,
-        state.request.criticality,
+        request.deadline_slot,
+        request.criticality,
         cfg.beta_max,
     )
     m_loss = mobility_loss(cfg.movement, action)
     if isinstance(action, Move):
-        pen = stationary_penalty(
-            state.request.mobile, action.origin, action.target, cfg.beta_max
-        )
+        pen = stationary_penalty(request.mobile, action.origin, action.target, cfg.beta_max)
     else:
         pen = 0.0
     return LossBreakdown(d_loss, m_loss, pen)
 
 
-def replay_device_loss(
-    modes: PowerModeSet,
-    request_demand_kwh: float,
-    deadline_slot: int,
-    criticality: float,
-    mobile: bool,
-    actions: Sequence[Action],
-    cfg: SystemConfig,
-) -> float:
-    """Recompute one device's total loss from its action row alone.
+@dataclass(frozen=True)
+class RowLoss:
+    """One device's loss over its whole decision row.
 
-    Independent of engine bookkeeping: progress is rebuilt slot by slot
-    (capped at demand plus movement-incurred extra demand) and each
-    slot's three loss terms are summed with the 2x mobility weight. Used
-    by the replay invariant check and the exact solver's objective.
+    `total` is the slot-order sum of each slot's `LossBreakdown.total`;
+    the components are summed alongside for reporting, so `total` need
+    not equal deadline + 2 * mobility + stationary to the last bit.
+    """
+
+    total: float
+    deadline_loss: float
+    mobility_loss: float  # raw, before the 2x weight
+    stationary_penalty: float
+
+
+def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -> RowLoss:
+    """Score one device's decision row from the actions alone.
+
+    Progress is rebuilt slot by slot with the engine's update (delivery
+    capped at demand plus movement-incurred extra demand, a new transit
+    committing its full cost when it starts), so a row scored here is
+    bit-identical whether it came from the engine or from elsewhere.
+    Only slots that can cost something are passed to `slot_loss`: a Move,
+    or a slot past the deadline with demand outstanding. Every term of
+    any other slot is exactly 0, and adding 0.0 changes no sum. So
+    scoring also starts at arrival, since a valid row idles before it.
     """
     progress = 0.0
     extra = 0.0
-    total = 0.0
-    for slot, action in enumerate(actions):
-        move_cost = 0.0
-        penalty = 0.0
+    total = d_sum = m_sum = p_sum = 0.0
+    for slot in range(max(request.arrival_slot, 0), len(row)):
+        action = row[slot]
+        moving = isinstance(action, Move)
         if isinstance(action, Serve):
-            delivered = modes.power(action.mode_index) * cfg.slot_hours
-            target = request_demand_kwh + extra
-            progress = min(progress + delivered, target)
-        elif isinstance(action, Move):
-            # a new transit commits its full cost when it starts
-            prev = actions[slot - 1] if slot > 0 else None
-            if not (isinstance(prev, Move) and prev == action):
-                extra += cfg.movement.total_cost(action.origin, action.target)
-            move_cost = cfg.movement.option(action.origin, action.target).cost_kwh_per_slot
-            penalty = stationary_penalty(mobile, action.origin, action.target, cfg.beta_max)
-        d_loss = deadline_loss(
-            progress, request_demand_kwh, slot, deadline_slot, criticality, cfg.beta_max
-        )
-        # same accumulation shape as the engine's slot ledger, so replayed
-        # totals reproduce recorded totals bit-for-bit
-        total += d_loss + 2.0 * move_cost + penalty
-    return total
+            delivered = request.modes.power(action.mode_index) * cfg.slot_hours
+            progress += min(delivered, max(request.demand_kwh + extra - progress, 0.0))
+        elif moving and (slot == 0 or row[slot - 1] != action):
+            extra += cfg.movement.total_cost(action.origin, action.target)
+        if not moving and (slot <= request.deadline_slot or progress >= request.demand_kwh):
+            continue
+        b = slot_loss(request, progress, action, slot, cfg)
+        total += b.total
+        d_sum += b.deadline_loss
+        m_sum += b.mobility_loss
+        p_sum += b.stationary_penalty
+    return RowLoss(total, d_sum, m_sum, p_sum)

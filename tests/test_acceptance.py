@@ -194,7 +194,7 @@ class TestAcceptance:
             DeviceRequest("b", 0, 6, True, 1.0, 6.0, 1.8, PowerModeSet((2.0,)), 0),
         ]
         result = run_horizon(cfg, devices)
-        mover = result.states["b"]
+        mover = result.losses["b"]
         n_transits = sum(
             1
             for i, a in enumerate(result.decisions["b"])
@@ -204,7 +204,7 @@ class TestAcceptance:
         assert n_transits >= 1
         want_mobility = float(2 * mpmath.mpf(2) * mpmath.mpf("0.15") * n_transits)
         checks.append(
-            abs(2.0 * mover.mobility_loss_raw - want_mobility) <= rel * want_mobility
+            abs(2.0 * mover.mobility_loss - want_mobility) <= rel * want_mobility
         )
 
         for args, want in (

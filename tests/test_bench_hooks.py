@@ -31,4 +31,6 @@ def test_workload_entry_points_exist():
     assert callable(exact.solve_exact)
     assert callable(engine.replay_loss)
     assert callable(engine.decisions_from_dict)
+    assert callable(engine.worker_count)
+    assert callable(heuristic.HorizonResult.total_loss.fget)
     assert {baselines.edf_rank.__name__, baselines.hp_rank.__name__} == {"edf_rank", "hp_rank"}

@@ -31,7 +31,7 @@ from gridflex.model import (
     Serve,
     SystemConfig,
 )
-from gridflex.utility import replay_device_loss
+from gridflex.utility import row_loss
 
 
 def make_cfg(num_aggregators=1, budget=2.0, horizon=4, delay=1, cost=0.1):
@@ -138,13 +138,7 @@ def brute_force_optimum(scenario: Scenario) -> float:
                 break
         if not feasible:
             continue
-        loss = sum(
-            replay_device_loss(
-                dev.modes, dev.demand_kwh, dev.deadline_slot, dev.criticality,
-                dev.mobile, row, cfg,
-            )
-            for dev, row in zip(devices, combo)
-        )
+        loss = sum(row_loss(dev, row, cfg).total for dev, row in zip(devices, combo))
         best = min(best, loss)
     return best
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gridflex import engine, utility, workload
+from gridflex import engine, heuristic, utility, workload
 from gridflex.baselines import edf_rank, hp_rank
 from gridflex.heuristic import (
     heuristic_rank,
@@ -308,7 +308,7 @@ class TestRunHorizon:
             1 for a in result.decisions["b"] if isinstance(a, Move)
         )
         assert n_move_slots > 0
-        assert 2.0 * mover.mobility_loss_raw == pytest.approx(2 * 0.15 * n_move_slots)
+        assert 2.0 * result.losses["b"].mobility_loss == pytest.approx(2 * 0.15 * n_move_slots)
         assert mover.extra_demand_kwh == pytest.approx(0.15 * n_move_slots)
 
     def test_online_causality(self):
@@ -388,7 +388,7 @@ class TestLiveSet:
         for t in range(6):
             expected += utility.deadline_loss(1.0, demand, t, 1, 1.6)
         assert expected > 0.0
-        assert st.deadline_loss_total == expected
+        assert result.losses["a"].deadline_loss == expected
         assert_replay_matches(cfg, devs, result)
 
     def test_retired_device_stays_idle_to_horizon_end(self):
@@ -410,25 +410,27 @@ class TestLiveSet:
         assert_replay_matches(cfg, devs, result)
 
 
-def count_slot_loss_calls(monkeypatch):
-    """Record (device id, slot) for every `utility.slot_loss` call."""
+def record_cluster_members(monkeypatch):
+    """Record (device id, slot) for every cluster member `schedule_slot` is given."""
     calls = []
-    original = utility.slot_loss
+    original = heuristic.schedule_slot
 
-    def counting(state, action, slot, cfg):
-        calls.append((state.request.id, slot))
-        return original(state, action, slot, cfg)
+    def recording(agg, cluster, slot, *args):
+        calls.extend((st.request.id, slot) for st in cluster)
+        return original(agg, cluster, slot, *args)
 
-    monkeypatch.setattr(utility, "slot_loss", counting)
+    monkeypatch.setattr(heuristic, "schedule_slot", recording)
     return calls
 
 
 def live_device_slots(cfg, devices, result):
-    """Slots from arrival to retirement, derived from the outputs alone.
+    """Slots from arrival to retirement that a device spends at a cluster,
+    derived from the outputs alone.
 
     A device that ends at a cluster, completed, with progress >= demand
     retires in its last non-idle slot; any other device stays live to
-    the end of the horizon.
+    the end of the horizon. A transit's first slot is spent at the origin
+    cluster; its later slots (the same Move repeated) at none.
     """
     total = 0
     for dev in devices:
@@ -443,13 +445,18 @@ def live_device_slots(cfg, devices, result):
             last = max(t for t, action in enumerate(row) if not isinstance(action, Idle))
         else:
             last = len(row) - 1
-        total += last - dev.arrival_slot + 1
+        mid_transit = sum(
+            1
+            for t in range(dev.arrival_slot + 1, last + 1)
+            if isinstance(row[t], Move) and row[t] == row[t - 1]
+        )
+        total += last - dev.arrival_slot + 1 - mid_transit
     return total
 
 
 class TestWorkProportionalToLiveSet:
     def test_slot_loss_only_between_arrival_and_retirement(self, monkeypatch):
-        calls = count_slot_loss_calls(monkeypatch)
+        calls = record_cluster_members(monkeypatch)
         cfg = make_cfg(horizon=10)
         devs = [
             make_request("a", [2], demand=1.0, deadline=2),
@@ -466,7 +473,7 @@ class TestWorkProportionalToLiveSet:
         assert len(calls) == live_device_slots(cfg, devs, result)
 
     def test_generated_scenario_calls_match_live_device_slots(self, monkeypatch):
-        calls = count_slot_loss_calls(monkeypatch)
+        calls = record_cluster_members(monkeypatch)
         scenario = workload.generate(
             workload.GenSpec(num_devices=100, class_combo=("L", "L", "M", "M", "H"), seed=3)
         )

@@ -36,8 +36,8 @@ def hp_deadline_loss(deficit, kappa, late):
     return float(mpmath.mpf(deficit) * mpmath.e ** (mpmath.mpf(kappa) * late))
 
 
-def make_state(demand=10.0, deadline=6, kappa=1.6, mobile=True, initial=1.0, home=0):
-    request = DeviceRequest(
+def make_request(demand=10.0, deadline=6, kappa=1.6, mobile=True, initial=1.0, home=0):
+    return DeviceRequest(
         id="u0",
         arrival_slot=0,
         deadline_slot=deadline,
@@ -48,7 +48,11 @@ def make_state(demand=10.0, deadline=6, kappa=1.6, mobile=True, initial=1.0, hom
         modes=PowerModeSet((1.0, 2.0, 3.0)),
         home=home,
     )
-    return DeviceState(request=request, location=AtCluster(home))
+
+
+def make_state(**kwargs):
+    request = make_request(**kwargs)
+    return DeviceState(request=request, location=AtCluster(request.home))
 
 
 def make_cfg(num_aggregators=3, cost=0.15):
@@ -156,23 +160,19 @@ class TestStationaryPenalty:
 class TestSlotLoss:
     def test_served_on_time_no_move_is_free(self):
         cfg = make_cfg()
-        state = make_state()
-        state.progress_kwh = 2.0
-        assert slot_loss(state, Serve(1, 0), 3, cfg).total == 0.0
+        assert slot_loss(make_request(), 2.0, Serve(1, 0), 3, cfg).total == 0.0
 
     def test_moving_late_device_compounds_terms(self):
         # deficit 6, kappa 1.6, 2 slots late, plus one transit slot at 0.15
         cfg = make_cfg()
-        state = make_state(demand=10.0, deadline=6, kappa=1.6)
-        state.progress_kwh = 4.0
-        breakdown = slot_loss(state, Move(0, 1), 8, cfg)
+        request = make_request(demand=10.0, deadline=6, kappa=1.6)
+        breakdown = slot_loss(request, 4.0, Move(0, 1), 8, cfg)
         want = hp_deadline_loss(6.0, 1.6, 2) + 2 * 0.15
         assert breakdown.total == pytest.approx(want, rel=REL)
 
     def test_stationary_move_dominates(self):
         cfg = make_cfg()
-        state = make_state(mobile=False)
-        breakdown = slot_loss(state, Move(0, 1), 2, cfg)
+        breakdown = slot_loss(make_request(mobile=False), 0.0, Move(0, 1), 2, cfg)
         assert breakdown.total >= cfg.beta_max
 
     @given(
