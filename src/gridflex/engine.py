@@ -150,13 +150,11 @@ def run(
             "extra_demand_kwh": st.extra_demand_kwh,
             "completed": st.completed,
         }
-    total = sum(per_device[dev_id]["loss_total"] for dev_id in sorted(per_device))
-
     return RunResult(
         scenario_id=scenario.scenario_id,
         scheduler=scheduler,
         mobility_enabled=mobility_enabled,
-        total_loss=total,
+        total_loss=horizon.total_loss,
         per_device=per_device,
         decisions=horizon.decisions,
         utilization_kw=horizon.committed_kw,
@@ -311,12 +309,9 @@ def baseline_compare(
     return dict(zip(schedulers, results))
 
 
-def oracle_gap_experiment(
-    count: int, seed: int = 0, caps: exact.ExactCaps = exact.ExactCaps()
-) -> exact.GapReport:
+def oracle_gap_experiment(count: int, seed: int = 0) -> exact.GapReport:
     scenarios = workload.micro_instances(count, seed=seed)
-    instances = [exact.ExactInstance(s, caps) for s in scenarios]
-    return exact.gap_report(instances)
+    return exact.gap_report([exact.ExactInstance(s) for s in scenarios])
 
 
 def metrics_table(summary: ExperimentSummary) -> str:

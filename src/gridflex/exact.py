@@ -216,14 +216,17 @@ def validate_schedule(
 # ---------------------------------------------------------------------------
 
 
+# Enumeration guardrails: instances beyond these are refused.
+MAX_DEVICES = 4
+MAX_SLOTS = 8
+MAX_MODES = 3
+MAX_AGGREGATORS = 3
+
+
 @dataclass(frozen=True)
 class ExactCaps:
-    """Enumeration guardrails; instances beyond these are refused."""
+    """Search budget: the solve is refused once it expands more nodes."""
 
-    max_devices: int = 4
-    max_slots: int = 8
-    max_modes: int = 3
-    max_aggregators: int = 3
     node_budget: int = 10**8
 
 
@@ -444,25 +447,22 @@ def solve_exact(instance: ExactInstance) -> ExactResult:
     one.
     """
     scenario = instance.scenario
-    caps = instance.caps
     cfg = scenario.config
     devices = sorted(scenario.devices, key=lambda d: d.id)
 
-    if len(devices) > caps.max_devices:
-        raise CapExceededError(f"{len(devices)} devices > cap {caps.max_devices}")
-    if cfg.horizon_slots > caps.max_slots:
-        raise CapExceededError(f"{cfg.horizon_slots} slots > cap {caps.max_slots}")
-    if cfg.num_aggregators > caps.max_aggregators:
-        raise CapExceededError(
-            f"{cfg.num_aggregators} aggregators > cap {caps.max_aggregators}"
-        )
+    if len(devices) > MAX_DEVICES:
+        raise CapExceededError(f"{len(devices)} devices > cap {MAX_DEVICES}")
+    if cfg.horizon_slots > MAX_SLOTS:
+        raise CapExceededError(f"{cfg.horizon_slots} slots > cap {MAX_SLOTS}")
+    if cfg.num_aggregators > MAX_AGGREGATORS:
+        raise CapExceededError(f"{cfg.num_aggregators} aggregators > cap {MAX_AGGREGATORS}")
     for dev in devices:
-        if dev.modes.count > caps.max_modes:
+        if dev.modes.count > MAX_MODES:
             raise CapExceededError(
-                f"device {dev.id} has {dev.modes.count} modes > cap {caps.max_modes}"
+                f"device {dev.id} has {dev.modes.count} modes > cap {MAX_MODES}"
             )
 
-    searcher = _Searcher(cfg, devices, caps.node_budget)
+    searcher = _Searcher(cfg, devices, instance.caps.node_budget)
     return searcher.solve()
 
 
@@ -492,8 +492,8 @@ class GapReport:
         return max((r.ratio for r in self.rows), default=math.nan)
 
 
-def gap_report(instances: list[ExactInstance], mobility_enabled: bool = True) -> GapReport:
-    """Exact-vs-heuristic loss per instance with ratio statistics.
+def gap_report(instances: list[ExactInstance]) -> GapReport:
+    """Exact-vs-heuristic (mobility on) loss per instance with ratio statistics.
 
     Propagates `CapExceededError` from any refused instance.
     """
@@ -502,10 +502,7 @@ def gap_report(instances: list[ExactInstance], mobility_enabled: bool = True) ->
     rows = []
     for instance in instances:
         exact_result = solve_exact(instance)
-        heuristic_result = run_scenario(
-            instance.scenario, mobility_enabled=mobility_enabled
-        )
-        h_loss = heuristic_result.total_loss
+        h_loss = run_scenario(instance.scenario).total_loss
         e_loss = exact_result.loss
         if e_loss <= EPS and h_loss <= EPS:
             ratio = 1.0

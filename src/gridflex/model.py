@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 EPS = 1e-9
 
@@ -98,33 +98,36 @@ class MovementMatrix:
         return opt.delay_slots * opt.cost_kwh_per_slot
 
     @classmethod
+    def _build(
+        cls, num_aggregators: int, off_diagonal: Callable[[int, int], MovementOption]
+    ) -> "MovementMatrix":
+        """The n x n matrix with the (0, 0) diagonal and `off_diagonal(i, j)`
+        everywhere else, asked for in row-major order."""
+        return cls(
+            num_aggregators,
+            tuple(
+                tuple(
+                    MovementOption(0, 0.0) if i == j else off_diagonal(i, j)
+                    for j in range(num_aggregators)
+                )
+                for i in range(num_aggregators)
+            ),
+        )
+
+    @classmethod
     def line(cls, num_aggregators: int, cost_kwh_per_slot: float = 0.15) -> "MovementMatrix":
         """Line topology: delay equals index distance, flat per-slot cost."""
-        rows = []
-        for i in range(num_aggregators):
-            row = []
-            for j in range(num_aggregators):
-                if i == j:
-                    row.append(MovementOption(0, 0.0))
-                else:
-                    row.append(MovementOption(abs(i - j), cost_kwh_per_slot))
-            rows.append(tuple(row))
-        return cls(num_aggregators, tuple(rows))
+        return cls._build(
+            num_aggregators, lambda i, j: MovementOption(abs(i - j), cost_kwh_per_slot)
+        )
 
     @classmethod
     def uniform(
         cls, num_aggregators: int, delay_slots: int, cost_kwh_per_slot: float
     ) -> "MovementMatrix":
-        rows = []
-        for i in range(num_aggregators):
-            row = []
-            for j in range(num_aggregators):
-                if i == j:
-                    row.append(MovementOption(0, 0.0))
-                else:
-                    row.append(MovementOption(delay_slots, cost_kwh_per_slot))
-            rows.append(tuple(row))
-        return cls(num_aggregators, tuple(rows))
+        return cls._build(
+            num_aggregators, lambda i, j: MovementOption(delay_slots, cost_kwh_per_slot)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +243,12 @@ def decode_action(text: str) -> Action:
     if text == "I":
         return IDLE
     parts = text.split(":")
-    if parts[0] == "S" and len(parts) == 3:
-        return Serve(int(parts[1]), int(parts[2]))
-    if parts[0] == "M" and len(parts) == 3:
-        return Move(int(parts[1]), int(parts[2]))
+    kind = {"S": Serve, "M": Move}.get(parts[0])
+    if kind is not None and len(parts) == 3:
+        try:
+            return kind(int(parts[1]), int(parts[2]))
+        except ValueError:
+            pass
     raise ScenarioFormatError(f"unknown action encoding {text!r}")
 
 
@@ -366,6 +371,7 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
 
     An empty list means the scenario is safe to hand to any scheduler.
     """
+    devices = tuple(devices)
     out: list[Violation] = []
 
     if cfg.num_aggregators < 1:
@@ -390,6 +396,7 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
         for i, row in enumerate(cfg.movement.table)
         for j, opt in enumerate(row)
     ]
+    finite_config = all(math.isfinite(value) for _, value in config_floats)
     out.extend(
         Violation(None, name, "finite") for name, value in config_floats
         if not math.isfinite(value)
@@ -437,6 +444,15 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
                         f"{cap:g} within the window",
                     )
                 )
+
+    # the total loss must stay a finite float even if every device-slot
+    # paid the beta_max clamp twice (deadline term and stationary penalty)
+    # and the dearest per-slot move cost, weighted 2x
+    if finite_config:
+        dearest = max(opt.cost_kwh_per_slot for row in cfg.movement.table for opt in row)
+        device_slots = len(devices) * max(cfg.horizon_slots, 0)
+        if not math.isfinite(2.0 * (device_slots * cfg.beta_max + device_slots * dearest)):
+            out.append(Violation(None, "beta_max", "worst-case total loss finite"))
     return out
 
 
@@ -472,20 +488,15 @@ def _movement_from_dict(doc: dict) -> MovementMatrix:
             )
             for p in doc["pairs"]
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad movement matrix: {exc}") from exc
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(MovementOption(0, 0.0))
-            else:
-                if (i, j) not in listed:
-                    raise ScenarioFormatError(f"missing movement pair {i}->{j}")
-                row.append(listed[(i, j)])
-        rows.append(tuple(row))
-    return MovementMatrix(n, tuple(rows))
+
+    def listed_option(i: int, j: int) -> MovementOption:
+        if (i, j) not in listed:
+            raise ScenarioFormatError(f"missing movement pair {i}->{j}")
+        return listed[(i, j)]
+
+    return MovementMatrix._build(n, listed_option)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -549,7 +560,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             for d in doc["devices"]
         )
         return Scenario(str(doc["id"]), cfg, devices)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad scenario document: {exc}") from exc
 
 

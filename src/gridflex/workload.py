@@ -6,6 +6,10 @@ uniform simplex (Dirichlet) draw, then clipping and redistributing until
 every instance respects its window's deliverable-energy cap. Session
 ingestion maps real charging records onto one simulated day.
 
+Both builders fill what their input leaves open from the module
+constants below, through one mode draw (`_draw_modes`) and one
+configuration (`_line_config`).
+
 All randomness comes from numpy's PCG64 generator seeded explicitly, so
 generation is reproducible bit-for-bit; demands are rounded to 0.01 kWh.
 """
@@ -23,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
-    DEFAULT_BETA_MAX,
     DeviceRequest,
     MovementMatrix,
     PowerModeSet,
@@ -38,17 +41,20 @@ LOAD_CLASSES = {
     "H": (1.25, 1.5),
 }
 
-DEFAULT_MODE_POOL = (1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0)
-DEFAULT_PERIODICITY_POOL = (6, 12, 24, 48)
-DEFAULT_KAPPA_POOL = (1.6, 1.8, 2.0)
+# Fixed completion constants; MODE_POOL is ascending.
+MODE_POOL = (1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0)
+PERIODICITY_POOL = (6, 12, 24, 48)
+KAPPA_POOL = (1.6, 1.8, 2.0)
 
 # Per-slot aggregator budget sized so every load class is reachable at the
 # smallest device count in the experiment grid while the high band stays
 # over-subscribed (devices top out at the 50 kW pool mode).
-DEFAULT_BUDGET_KW = 100.0
-DEFAULT_HORIZON_SLOTS = 50
-DEFAULT_SLOT_HOURS = 0.5
-DEFAULT_MOVE_COST = 0.15
+BUDGET_KW = 100.0
+SLOT_HOURS = 0.5
+MOVE_COST_KWH_PER_SLOT = 0.15  # flat per-slot cost on the line topology
+GEN_HORIZON_SLOTS = 50
+INGEST_AGGREGATORS = 5
+INGEST_HORIZON_SLOTS = 48  # one day of half-hour slots
 
 REPLICA_FILENAME = "ev_sessions_2020_replica.csv"
 
@@ -59,24 +65,12 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Knobs for one synthetic scenario."""
+    """Knobs for one synthetic scenario; everything else is a module constant."""
 
     num_devices: int
     class_combo: tuple[str, ...] = ("L", "L", "M", "M", "H")
     mobile_fraction: float = 0.5
     seed: int = 0
-    periodicity_pool: tuple[int, ...] = DEFAULT_PERIODICITY_POOL
-    mode_pool: tuple[float, ...] = DEFAULT_MODE_POOL
-    kappa_pool: tuple[float, ...] = DEFAULT_KAPPA_POOL
-    budget_kw: float = DEFAULT_BUDGET_KW
-    horizon_slots: int = DEFAULT_HORIZON_SLOTS
-    slot_hours: float = DEFAULT_SLOT_HOURS
-    move_cost_kwh_per_slot: float = DEFAULT_MOVE_COST
-    beta_max: float = DEFAULT_BETA_MAX
-
-    @property
-    def num_aggregators(self) -> int:
-        return len(self.class_combo)
 
 
 def _simplex_split(
@@ -108,6 +102,34 @@ def _simplex_split(
     return np.minimum(shares, caps)
 
 
+def _draw_modes(rng: np.random.Generator, need_kw: float) -> PowerModeSet | None:
+    """The smallest pool mode covering `need_kw`, plus up to two seeded lower
+    modes for downshifting; None when no pool mode covers it."""
+    eligible = [m for m in MODE_POOL if m + 1e-12 >= need_kw]
+    if not eligible:
+        return None
+    top = eligible[0]
+    lower = [m for m in MODE_POOL if m < top]
+    n_extra = int(rng.integers(0, min(len(lower), 2) + 1))
+    extras = (
+        sorted(float(m) for m in rng.choice(lower, size=n_extra, replace=False))
+        if n_extra
+        else []
+    )
+    return PowerModeSet(tuple(extras + [float(top)]))
+
+
+def _line_config(num_aggregators: int, horizon_slots: int) -> SystemConfig:
+    """Line topology with uniform budgets, the shape of every completed scenario."""
+    return SystemConfig(
+        num_aggregators=num_aggregators,
+        budgets_kw=(BUDGET_KW,) * num_aggregators,
+        horizon_slots=horizon_slots,
+        slot_hours=SLOT_HOURS,
+        movement=MovementMatrix.line(num_aggregators, MOVE_COST_KWH_PER_SLOT),
+    )
+
+
 @dataclass
 class _DeviceDraft:
     device_index: int
@@ -125,11 +147,14 @@ def generate(spec: GenSpec) -> Scenario:
     Each device repeats periodically (arrival = previous deadline) over
     the horizon; every cluster's total demand lands inside its drawn
     utilization band within 1%. Raises `GenerationError` when a band is
-    unreachable under the mode pool.
+    unreachable under the mode pool. The grid itself is fixed: a
+    `GEN_HORIZON_SLOTS`-slot horizon of `SLOT_HOURS` slots, one aggregator
+    per load class on a line (`MOVE_COST_KWH_PER_SLOT`) with `BUDGET_KW`
+    each, and periodicities, criticalities and modes from the pools.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    J = spec.num_aggregators
-    tau = spec.horizon_slots
+    J = len(spec.class_combo)
+    tau = GEN_HORIZON_SLOTS
 
     for cls in spec.class_combo:
         if cls not in LOAD_CLASSES:
@@ -148,8 +173,8 @@ def generate(spec: GenSpec) -> Scenario:
             _DeviceDraft(
                 device_index=i,
                 cluster=homes[i],
-                periodicity=int(rng.choice(spec.periodicity_pool)),
-                kappa=float(rng.choice(spec.kappa_pool)),
+                periodicity=int(rng.choice(PERIODICITY_POOL)),
+                kappa=float(rng.choice(KAPPA_POOL)),
                 mobile=bool(mobile_flags[i]),
             )
         )
@@ -160,11 +185,10 @@ def generate(spec: GenSpec) -> Scenario:
             draft.windows.append((start, end))
             start = end
 
-    pool_max = max(spec.mode_pool)
-    rate_cap = min(pool_max, spec.budget_kw)
+    rate_cap = max(MODE_POOL)  # below BUDGET_KW, so every pool mode fits
 
     # per-cluster utilization target, split over that cluster's instances
-    capacity = spec.budget_kw * spec.slot_hours * tau
+    capacity = BUDGET_KW * SLOT_HOURS * tau
     for j, cls in enumerate(spec.class_combo):
         low, high = LOAD_CLASSES[cls]
         util = float(rng.uniform(low, high))
@@ -176,36 +200,25 @@ def generate(spec: GenSpec) -> Scenario:
         if not instances:
             raise GenerationError(f"cluster {j} has no devices to carry its load")
         caps = np.array(
-            [rate_cap * spec.slot_hours * (w[1] - w[0]) - 0.01 for _, w in instances]
+            [rate_cap * SLOT_HOURS * (w[1] - w[0]) - 0.01 for _, w in instances]
         )
         shares = _simplex_split(rng, target, caps)
         for (draft, _w), kwh in zip(instances, shares):
             draft.demands.append(max(round(float(kwh), 2), 0.01))
 
-    # mode sets: smallest pool mode covering the device's steepest instance,
-    # plus up to two lower modes for downshifting
+    # one mode set per device, covering its steepest instance
     devices: list[DeviceRequest] = []
     for draft in drafts:
         need = max(
-            kwh / (spec.slot_hours * (w[1] - w[0]))
+            kwh / (SLOT_HOURS * (w[1] - w[0]))
             for (w, kwh) in zip(draft.windows, draft.demands)
         )
-        eligible = [m for m in sorted(spec.mode_pool) if m + 1e-12 >= need]
-        if not eligible or eligible[0] > spec.budget_kw:
+        modes = _draw_modes(rng, need)
+        if modes is None:
             raise GenerationError(
                 f"device d{draft.device_index:03d} needs {need:.2f} kW, "
-                "no pool mode fits the budget"
+                "no pool mode fits"
             )
-        top = eligible[0]
-        lower = [m for m in sorted(spec.mode_pool) if m < top]
-        n_extra = int(rng.integers(0, min(len(lower), 2) + 1))
-        extras = (
-            sorted(float(m) for m in rng.choice(lower, size=n_extra, replace=False))
-            if n_extra
-            else []
-        )
-        modes = PowerModeSet(tuple(extras + [float(top)]))
-
         initial = round(float(rng.uniform(0.5, 1.5)), 2) if draft.mobile else 0.0
         for inst, ((start, end), kwh) in enumerate(zip(draft.windows, draft.demands)):
             devices.append(
@@ -222,14 +235,7 @@ def generate(spec: GenSpec) -> Scenario:
                 )
             )
 
-    cfg = SystemConfig(
-        num_aggregators=J,
-        budgets_kw=tuple([spec.budget_kw] * J),
-        horizon_slots=tau,
-        slot_hours=spec.slot_hours,
-        movement=MovementMatrix.line(J, spec.move_cost_kwh_per_slot),
-        beta_max=spec.beta_max,
-    )
+    cfg = _line_config(J, tau)
     combo = "".join(spec.class_combo)
     scenario_id = (
         f"gen-n{spec.num_devices}-{combo}-m{int(round(spec.mobile_fraction * 100))}"
@@ -306,7 +312,7 @@ def micro_instances(
                     mobile=bool(rng.integers(0, 2)) if J > 1 else False,
                     initial_energy_kwh=round(float(rng.uniform(0.0, 0.5)), 2),
                     demand_kwh=demand,
-                    criticality=float(rng.choice(DEFAULT_KAPPA_POOL)),
+                    criticality=float(rng.choice(KAPPA_POOL)),
                     modes=modes,
                     home=int(rng.integers(0, J)),
                 )
@@ -364,18 +370,10 @@ def bundled_replica_text() -> str:
 
 @dataclass(frozen=True)
 class IngestSpec:
-    """Completion parameters for fields the session records lack."""
+    """Seeded completion of the fields the session records lack."""
 
     seed: int = 0
-    num_aggregators: int = 5
-    budget_kw: float = DEFAULT_BUDGET_KW
-    horizon_slots: int = 48
-    slot_hours: float = 0.5
     mobile_fraction: float = 0.5
-    kappa_pool: tuple[float, ...] = DEFAULT_KAPPA_POOL
-    mode_pool: tuple[float, ...] = DEFAULT_MODE_POOL
-    move_cost_kwh_per_slot: float = DEFAULT_MOVE_COST
-    beta_max: float = DEFAULT_BETA_MAX
 
 
 def ingest_sessions(
@@ -383,20 +381,24 @@ def ingest_sessions(
 ) -> tuple[Scenario, int]:
     """Map session records onto one simulated day.
 
-    Arrival time-of-day becomes the arrival slot; the deadline is arrival
-    plus the stay length in slots, clipped to the last slot (stays cross
-    midnight without wrapping). Each device gets the smallest pool mode
-    that makes its demand feasible, plus seeded lower modes, criticality,
-    and a mobility flag. Returns the scenario and the count of sessions
-    dropped during mapping.
+    The day is `INGEST_HORIZON_SLOTS` slots of `SLOT_HOURS`, served by
+    `INGEST_AGGREGATORS` aggregators on a line (`BUDGET_KW` each, moves at
+    `MOVE_COST_KWH_PER_SLOT`); stations are assigned to aggregators round
+    robin in name order. Arrival time-of-day becomes the arrival slot; the
+    deadline is arrival plus the stay length in slots, clipped to slot
+    `tau - 1` (stays cross midnight without wrapping), one slot short of
+    the `tau` the scenario schema allows. That clip is kept as found; it
+    is not checked against the paper. Each device gets the smallest pool
+    mode that makes its demand feasible, plus seeded lower modes,
+    criticality, and a mobility flag. Returns the scenario and the count
+    of sessions dropped during mapping.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    tau = spec.horizon_slots
-    slot_minutes = spec.slot_hours * 60.0
-    pool = sorted(spec.mode_pool)
+    tau = INGEST_HORIZON_SLOTS
+    slot_minutes = SLOT_HOURS * 60.0
 
     stations = sorted({r.station for r in records})
-    station_home = {s: i % spec.num_aggregators for i, s in enumerate(stations)}
+    station_home = {s: i % INGEST_AGGREGATORS for i, s in enumerate(stations)}
 
     devices: list[DeviceRequest] = []
     dropped = 0
@@ -405,26 +407,17 @@ def ingest_sessions(
         minutes = rec.arrival.hour * 60 + rec.arrival.minute
         arrival_slot = int(minutes // slot_minutes) % tau
         duration_h = (rec.departure - rec.arrival).total_seconds() / 3600.0
-        duration_slots = max(int(math.ceil(duration_h / spec.slot_hours)), 1)
+        duration_slots = max(int(math.ceil(duration_h / SLOT_HOURS)), 1)
         deadline_slot = min(arrival_slot + duration_slots, tau - 1)
         if deadline_slot <= arrival_slot:
             dropped += 1
             continue
         window = deadline_slot - arrival_slot
         demand = round(rec.energy_kwh, 2)
-        need = demand / (spec.slot_hours * window)
-        eligible = [m for m in pool if m + 1e-12 >= need and m <= spec.budget_kw]
-        if not eligible:
+        modes = _draw_modes(rng, demand / (SLOT_HOURS * window))
+        if modes is None:
             dropped += 1
             continue
-        top = eligible[0]
-        lower = [m for m in pool if m < top]
-        n_extra = int(rng.integers(0, min(len(lower), 2) + 1))
-        extras = (
-            sorted(float(m) for m in rng.choice(lower, size=n_extra, replace=False))
-            if n_extra
-            else []
-        )
         mobile = bool(rng.random() < spec.mobile_fraction)
         devices.append(
             DeviceRequest(
@@ -434,19 +427,12 @@ def ingest_sessions(
                 mobile=mobile,
                 initial_energy_kwh=round(float(rng.uniform(0.5, 1.5)), 2) if mobile else 0.0,
                 demand_kwh=demand,
-                criticality=float(rng.choice(spec.kappa_pool)),
-                modes=PowerModeSet(tuple(extras + [float(top)])),
+                criticality=float(rng.choice(KAPPA_POOL)),
+                modes=modes,
                 home=station_home[rec.station],
             )
         )
 
-    cfg = SystemConfig(
-        num_aggregators=spec.num_aggregators,
-        budgets_kw=tuple([spec.budget_kw] * spec.num_aggregators),
-        horizon_slots=tau,
-        slot_hours=spec.slot_hours,
-        movement=MovementMatrix.line(spec.num_aggregators, spec.move_cost_kwh_per_slot),
-        beta_max=spec.beta_max,
-    )
+    cfg = _line_config(INGEST_AGGREGATORS, tau)
     scenario = Scenario(f"ev-replica-s{spec.seed}", cfg, tuple(devices))
     return scenario, dropped

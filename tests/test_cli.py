@@ -146,6 +146,36 @@ class TestMalformedInput:
         bad.write_text(json.dumps(doc))
         self.assert_rejected(["run", str(bad)], capsys)
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("devices", 0, "arrival_slot"),
+            ("devices", 0, "deadline_slot"),
+            ("devices", 0, "home"),
+            ("config", "horizon_slots"),
+            ("config", "movement", "pairs", 0, "delay_slots"),
+        ],
+        ids=lambda path: path[-1],
+    )
+    def test_run_infinite_integer_field(self, path, tmp_path, scenario_file, capsys):
+        # JSON's Infinity loads as a float that int() cannot convert
+        doc = json.loads(scenario_file.read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = math.inf
+        bad = tmp_path / "infinite.json"
+        bad.write_text(json.dumps(doc))
+        self.assert_rejected(["run", str(bad)], capsys)
+
+    def test_validate_non_integer_action_field(self, tmp_path, scenario_file, capsys):
+        out = tmp_path / "result.json"
+        assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        doc["decisions"][sorted(doc["decisions"])[0]][0] = "S:x:0"
+        out.write_text(json.dumps(doc))
+        self.assert_rejected(["validate", str(scenario_file), str(out)], capsys)
+
 
 def _nan_initial_energy(doc):
     doc["devices"][0]["initial_energy_kwh"] = math.nan

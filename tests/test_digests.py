@@ -5,13 +5,20 @@ output bytes fails here. The digests were recorded before the live-set
 horizon loop replaced the scan over every arrived request; re-record
 them only for a change that is meant to alter outputs, and say so in
 CHANGES.md.
+
+`SCENARIO_PINNED` pins the scenario documents themselves, so a change to
+generation, ingestion or the micro-instance draw shows here even where
+no run digest covers it. Those digests were recorded before the builder
+options became module constants.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from gridflex import engine, workload
+from gridflex.model import scenario_to_dict
 from gridflex.workload import GenSpec, IngestSpec
 
 SCHEDULERS = ("heuristic", "edf", "hp")
@@ -66,3 +73,50 @@ def test_canonical_json_digests(name):
         for scheduler in SCHEDULERS
     }
     assert got == PINNED[name]
+
+
+SCENARIO_PINNED = {
+    "gen-n20-LLMMH-m50-s0": "de019e00b79fdabe119c8b4bb20f664df23e94b1b9058ff77b2a95f4347f60f6",
+    "gen-n20-LLLMH-m25-s1": "8cdee7f7d528a0958eee5f4429fb3191ffbddf9430b9c3e4e305105d7f08c772",
+    "gen-n20-LMMMH-m100-s2": "200f897b4c352f13f289c60e341a1f94be6d215cc63b92d1bfc7b10f89a3c9fd",
+    "gen-n20-LLMHH-m0-s3": "6ba472f44781b489156fbae7a6ca4fe406d96509e50af379c9ce995a275d7c0f",
+    "gen-n100-LLMMH-m50-s3": "a647f99ff68d9b7af0797ee7dd1a90daa624aa0166b7b199925787b6c90072c1",
+    "gen-n100-LMMMH-m75-s4": "b65b0bc6dc5168d84a19c852e68d90b79b84375352604cadaadf837a19e26f31",
+    "gen-n100-LLMHH-m25-s5": "335fba25e68643d9b166dae71a4757b3a73297ef877c2dc6e7597a7042508f96",
+    "gen-n100-LLLMH-m100-s6": "c728125514abf5a7cbde5867ae1714c4567d4a853d080bad00eace801d954c45",
+    "ev-m50-s0": "1d25377a7aa791360f10851d1ba42a2dd56fca5c46e32aa5cb13e61a3c34d9c0",
+    "ev-m25-s0": "ee34b56ed03be342705b72f2ce1266831847791d658b175ddeb38f1330f428dc",
+    "ev-m50-s1": "20f1a8113314b8b34c4c4eebe0073d284b471f8af5736755989dce3bbca84d78",
+    "ev-m25-s1": "b0d9fe80becd3914f75f9df91d4c3d101710889efd5ca6c00da580509554884b",
+    "ev-m50-s2": "10ceaed45339ee083272f9f90ab9547ba3c057bea9741fda39ebba44b5c36f4d",
+    "ev-m25-s2": "140743986eb041aac2f94a1a837e1eee4baccb9f73893f129d0ac8bd80948892",
+    "micro-default": "03ec15619a426dcb9ab50bc5c8a21ed5ec7074a5378e49866b3f015c61b40cda",
+    "micro-corpus-caps": "343714b6113d62416bcfe84628c4fb5765a619099828418747d71e197a49ad58",
+}
+
+
+def scenario_docs_for(name):
+    kind, *fields = name.split("-")
+    if kind == "gen":
+        n, combo, mobile, seed = fields
+        spec = GenSpec(
+            num_devices=int(n[1:]),
+            class_combo=tuple(combo),
+            mobile_fraction=int(mobile[1:]) / 100,
+            seed=int(seed[1:]),
+        )
+        return scenario_to_dict(workload.generate(spec))
+    if kind == "ev":
+        mobile, seed = fields
+        records, _ = workload.parse_sessions(workload.bundled_replica_text())
+        spec = IngestSpec(seed=int(seed[1:]), mobile_fraction=int(mobile[1:]) / 100)
+        return scenario_to_dict(workload.ingest_sessions(records, spec)[0])
+    # the corpus caps are the ones perfbench/record.py draws its oracle corpus with
+    caps = {} if fields == ["default"] else dict(max_devices=4, max_slots=8, max_aggregators=3)
+    return [scenario_to_dict(s) for s in workload.micro_instances(10, seed=0, **caps)]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_PINNED))
+def test_scenario_digests(name):
+    text = json.dumps(scenario_docs_for(name), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_PINNED[name]

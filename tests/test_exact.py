@@ -319,9 +319,26 @@ class TestSolveExact:
         assert moved
 
     def test_caps_refusal(self):
-        scenario = workload.micro_instances(1, seed=1)[0]
-        with pytest.raises(CapExceededError):
-            solve_exact(ExactInstance(scenario, ExactCaps(max_devices=0)))
+        # one instance just past each fixed guardrail; each is refused before
+        # any search, so the message names the cap, not the node budget
+        one = (make_request("a", [2], 1.0, 2),)
+        past_caps = [
+            Scenario(
+                "devices",
+                make_cfg(),
+                tuple(make_request(f"d{i}", [2], 0.5, 2) for i in range(exact.MAX_DEVICES + 1)),
+            ),
+            Scenario("slots", make_cfg(horizon=exact.MAX_SLOTS + 1), one),
+            Scenario("aggregators", make_cfg(num_aggregators=exact.MAX_AGGREGATORS + 1), one),
+            Scenario(
+                "modes",
+                make_cfg(),
+                (make_request("a", list(range(1, exact.MAX_MODES + 2)), 1.0, 2),),
+            ),
+        ]
+        for scenario in past_caps:
+            with pytest.raises(CapExceededError, match="> cap"):
+                solve_exact(ExactInstance(scenario))
 
     def test_node_budget_refusal(self):
         cfg = make_cfg(budget=2.0, horizon=6)

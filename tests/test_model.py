@@ -1,5 +1,6 @@
 """Model type invariants, validation, and scenario round-trips."""
 
+import dataclasses
 import math
 
 import pytest
@@ -186,6 +187,27 @@ class TestValidateConfig:
     def test_infinite_slot_length_flagged(self):
         cfg = make_config(slot_hours=math.inf)
         assert ("slot_hours", "finite") in [(v.field, v.rule) for v in validate_config(cfg, [])]
+
+    def test_beta_max_that_can_overflow_the_total_flagged(self):
+        # six devices contend for one 1 kW slot at a time, so four of them run
+        # late into the clamp; at beta_max 1e308 the run's total loss was inf
+        devices = [
+            make_device(
+                id=f"d{k}",
+                deadline_slot=1,
+                demand_kwh=0.5,
+                criticality=1000.0,
+                modes=PowerModeSet((1.0,)),
+            )
+            for k in range(6)
+        ]
+        cfg = SystemConfig(1, (1.0,), 8, 0.5, MovementMatrix.line(1), beta_max=1e308)
+        violations = validate_config(cfg, devices)
+        assert [(v.field, v.rule) for v in violations] == [
+            ("beta_max", "worst-case total loss finite")
+        ]
+        # 2 * 48 device-slots * 1e300 stays finite
+        assert validate_config(dataclasses.replace(cfg, beta_max=1e300), devices) == []
 
 
 class TestScenarioRoundTrip:

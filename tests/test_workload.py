@@ -81,13 +81,9 @@ class TestGenerate:
         assert scenario_to_dict(a) != scenario_to_dict(b)
 
     def test_unreachable_band_raises(self):
-        # one tiny device cannot carry half an aggregator's full-horizon load
-        spec = GenSpec(
-            num_devices=1,
-            class_combo=("H",),
-            seed=0,
-            mode_pool=(1.0,),
-        )
+        # one device at the 50 kW top pool mode cannot carry a high-band
+        # aggregator's full-horizon load (3,293.62 kWh against 1,249.98)
+        spec = GenSpec(num_devices=1, class_combo=("H",), seed=0)
         with pytest.raises(GenerationError):
             generate(spec)
 
