@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import baselines, exact, heuristic, utility, workload
 from .model import (
+    IDLE,
     Action,
     Scenario,
     ScenarioFormatError,
@@ -78,7 +79,9 @@ class RunResult:
             "total_loss": self.total_loss,
             "per_device": {k: self.per_device[k] for k in sorted(self.per_device)},
             "decisions": {
-                k: [encode_action(a) for a in self.decisions[k]]
+                # the IDLE singleton fills most of a row; any other action,
+                # another Idle instance included, goes through encode_action
+                k: ["I" if a is IDLE else encode_action(a) for a in self.decisions[k]]
                 for k in sorted(self.decisions)
             },
             "utilization_kw": self.utilization_kw,

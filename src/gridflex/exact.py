@@ -21,6 +21,7 @@ from .model import (
     Action,
     DeviceRequest,
     IDLE,
+    Idle,
     Move,
     Scenario,
     Serve,
@@ -132,7 +133,11 @@ def validate_schedule(
         transit: tuple[int, int, int] | None = None  # origin, target, remaining
 
         for t, action in enumerate(row):
-            if transit is not None:
+            if transit is None:
+                if type(action) is Idle:
+                    # nothing to check or replay
+                    continue
+            else:
                 origin, target, remaining = transit
                 if isinstance(action, Move) and (action.origin, action.target) == (origin, target):
                     remaining -= 1

@@ -25,7 +25,6 @@ from .model import (
     DeviceRequest,
     DeviceState,
     IDLE,
-    Idle,
     InTransit,
     Move,
     MovementMatrix,
@@ -51,7 +50,7 @@ def heuristic_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceStat
         return (
             -priority(d.progress_kwh, d.target_kwh, slot, req.deadline_slot),
             -req.criticality,
-            req.modes.min_kw,
+            req.modes.levels_kw[0],
             req.id,
         )
 
@@ -74,28 +73,39 @@ def schedule_slot(
     overshoots a device's outstanding demand beyond one slot's
     granularity: the lowest mode may overshoot by up to one slot's
     delivery, higher modes must fit inside the remaining deficit.
+
+    Residual only falls within a slot and no deficit changes, so the
+    first pass stops once the residual is below every lowest mode in the
+    cluster, and a device whose upgrade step fails once leaves the
+    sweeps: it would fail every later sweep too.
     """
-    serving = [d for d in cluster if not d.completed]
+    # not `completed`, read from the fields: the deficit exceeds EPS
+    serving = [d for d in cluster if d.target_kwh - d.progress_kwh > EPS]
     ranked = rank_fn(serving, slot)
 
     residual = agg.budget_kw
     assignment: dict[str, int] = {}
+    served: list[DeviceState] = []
 
-    for dev in ranked:
-        lowest = dev.request.modes.min_kw
-        if lowest <= residual + EPS:
-            assignment[dev.request.id] = 1
-            residual -= lowest
+    if ranked:
+        floor = min(d.request.modes.levels_kw[0] for d in ranked)
+        for dev in ranked:
+            if residual + EPS < floor:
+                break
+            lowest = dev.request.modes.levels_kw[0]
+            if lowest <= residual + EPS:
+                assignment[dev.request.id] = 1
+                served.append(dev)
+                residual -= lowest
 
-    served = [d for d in ranked if d.request.id in assignment]
-    changed = True
-    while changed and residual > EPS:
-        changed = False
+    while served and residual > EPS:
+        upgraded = []
         for dev in served:
             new_residual = _upgrade_one_step(dev, assignment, residual, slot_hours)
             if new_residual is not None:
                 residual = new_residual
-                changed = True
+                upgraded.append(dev)
+        served = upgraded
 
     agg.committed_kw = agg.budget_kw - residual
     return {
@@ -114,7 +124,8 @@ def _upgrade_one_step(
     step = modes.power(current + 1) - modes.power(current)
     if step > residual + EPS:
         return None
-    if modes.power(current + 1) * slot_hours > dev.deficit_kwh + EPS:
+    # the deficit, read from the fields: a served device's exceeds EPS
+    if modes.power(current + 1) * slot_hours > dev.target_kwh - dev.progress_kwh + EPS:
         return None
     assignment[dev.request.id] = current + 1
     return residual - step
@@ -130,16 +141,30 @@ def mobility_decision(
 ) -> Move | None:
     """Device-side choice to migrate after going unserved this slot.
 
-    Candidates are aggregators whose residual capacity after this slot's
+    The deadline loss of staying is computed first: a move happens only
+    when it exceeds the movement cost, and movement costs are never
+    negative, so a device that loses nothing by staying (at or before its
+    deadline, or with its demand met) stays without a scan. Otherwise the
+    candidates are aggregators whose residual capacity after this slot's
     scheduling is one the device could actually draw on (at least its
     lowest mode) and whose transit completes within the horizon. Among
     the affordable ones (total movement cost within on-board energy) the
     cheapest wins, and the move happens only when the deadline loss of
-    staying exceeds the movement cost.
+    staying exceeds its cost.
     """
     if not dev.request.mobile:
         return None
     if not isinstance(dev.location, AtCluster):
+        return None
+    stay_loss = utility.deadline_loss(
+        dev.progress_kwh,
+        dev.request.demand_kwh,
+        slot,
+        dev.request.deadline_slot,
+        dev.request.criticality,
+        beta_max,
+    )
+    if stay_loss <= 0.0:
         return None
     here = dev.location.aggregator
 
@@ -162,14 +187,6 @@ def mobility_decision(
     if best is None:
         return None
     move_cost, target = best
-    stay_loss = utility.deadline_loss(
-        dev.progress_kwh,
-        dev.request.demand_kwh,
-        slot,
-        dev.request.deadline_slot,
-        dev.request.criticality,
-        beta_max,
-    )
     if stay_loss > move_cost:
         return Move(here, target)
     return None
@@ -257,16 +274,19 @@ def run_horizon(
                 st = states[dev_id]
                 decisions[dev_id][t] = action
                 delivered = st.request.modes.power(action.mode_index) * cfg.slot_hours
-                st.progress_kwh += min(delivered, st.deficit_kwh)
+                # the deficit, read from the fields: a served device's exceeds EPS
+                st.progress_kwh += min(delivered, st.target_kwh - st.progress_kwh)
 
         # device phase: unserved mobile devices may depart this slot
         if mobility_enabled:
             for st in live:
+                # unserved (the slot still holds the IDLE row fill), not
+                # `completed` (read from the fields), and at a cluster
+                if decisions[st.request.id][t] is not IDLE:
+                    continue
+                if st.target_kwh - st.progress_kwh <= EPS:
+                    continue
                 if not isinstance(st.location, AtCluster):
-                    continue
-                if not isinstance(decisions[st.request.id][t], Idle):
-                    continue
-                if st.completed:
                     continue
                 move = mobility_decision(st, aggs, cfg.movement, t, tau, cfg.beta_max)
                 if move is not None:
@@ -274,6 +294,7 @@ def run_horizon(
                     decisions[st.request.id][t] = move
                     st.location = InTransit(move.origin, move.target, t + opt.delay_slots)
                     st.extra_demand_kwh += opt.delay_slots * opt.cost_kwh_per_slot
+                    st.target_kwh = st.request.demand_kwh + st.extra_demand_kwh
 
         # devices whose rows are final leave the live set
         live = [st for st in live if not _retired(st)]
@@ -292,12 +313,13 @@ def run_horizon(
 
 
 def _retired(st: DeviceState) -> bool:
-    """Idle with zero slot loss for every later slot: at a cluster (so no
-    transit is pending), nothing left to serve, and no deadline deficit."""
+    """Idle with zero slot loss for every later slot: no deadline deficit,
+    nothing left to serve (`completed`, read from the fields), and at a
+    cluster, so no transit is pending."""
     return (
-        isinstance(st.location, AtCluster)
-        and st.completed
-        and st.request.demand_kwh - st.progress_kwh <= 0.0
+        st.request.demand_kwh - st.progress_kwh <= 0.0
+        and st.target_kwh - st.progress_kwh <= EPS
+        and isinstance(st.location, AtCluster)
     )
 
 

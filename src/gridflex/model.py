@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
@@ -24,6 +24,12 @@ EPS = 1e-9
 DEFAULT_BETA_MAX = 1e9
 
 SCENARIO_SCHEMA_VERSION = 1
+
+# Ceiling on `horizon_slots`. Work and memory grow with slots even when
+# nothing is live (every device keeps one action per slot), so a document
+# must not ask for an unbounded horizon; every bundled, generated and
+# benchmark scenario uses 48 or 50 slots.
+MAX_HORIZON_SLOTS = 1000
 
 
 class UnknownAggregatorError(LookupError):
@@ -302,26 +308,30 @@ class InTransit:
 Location = Union[AtCluster, InTransit]
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviceState:
     """Mutable runtime state of one device during a horizon run.
 
     `extra_demand_kwh` is the movement energy the grid must re-supply on
     top of the demanded energy; it is committed in full when a move
-    starts. `progress_kwh` counts all energy delivered and is capped at
-    `target_kwh`. The state holds no loss: a device's loss is scored
-    from its finished decision row (`utility.row_loss`).
+    starts. `target_kwh` is the total energy the device still intends to
+    draw over the horizon, `request.demand_kwh + extra_demand_kwh`: it is
+    a stored field, set at construction and set again by whoever changes
+    `extra_demand_kwh` (the horizon loop, when a transit starts), so the
+    slot loop reads it without recomputing it. `progress_kwh` counts all
+    energy delivered and is capped at `target_kwh`. The state holds no
+    loss: a device's loss is scored from its finished decision row
+    (`utility.row_loss`).
     """
 
     request: DeviceRequest
     location: Location
     progress_kwh: float = 0.0
     extra_demand_kwh: float = 0.0
+    target_kwh: float = field(init=False)
 
-    @property
-    def target_kwh(self) -> float:
-        """Total energy the device still intends to draw over the horizon."""
-        return self.request.demand_kwh + self.extra_demand_kwh
+    def __post_init__(self) -> None:
+        self.target_kwh = self.request.demand_kwh + self.extra_demand_kwh
 
     @property
     def deficit_kwh(self) -> float:
@@ -337,7 +347,7 @@ class DeviceState:
         return self.request.initial_energy_kwh + self.progress_kwh - self.extra_demand_kwh
 
 
-@dataclass
+@dataclass(slots=True)
 class AggregatorState:
     """Per-slot bookkeeping for one aggregator."""
 
@@ -383,6 +393,10 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
             out.append(Violation(None, f"budgets_kw[{j}]", "budget > 0"))
     if cfg.horizon_slots < 1:
         out.append(Violation(None, "horizon_slots", "horizon >= 1 slot"))
+    if cfg.horizon_slots > MAX_HORIZON_SLOTS:
+        out.append(
+            Violation(None, "horizon_slots", f"horizon <= {MAX_HORIZON_SLOTS} slots")
+        )
     if not cfg.slot_hours > 0:
         out.append(Violation(None, "slot_hours", "slot length > 0"))
     if not cfg.beta_max > 0:
@@ -479,12 +493,24 @@ def _movement_to_dict(mm: MovementMatrix) -> dict:
     return {"num_aggregators": mm.num_aggregators, "pairs": pairs}
 
 
+def _int_field(doc: dict, key: str) -> int:
+    """`doc[key]` as an exact integer: a JSON integer, or a float whose
+    value is integral. Anything else, a boolean or a fractional,
+    infinite or NaN number included, is malformed rather than truncated."""
+    value = doc[key]
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def _movement_from_dict(doc: dict) -> MovementMatrix:
     try:
-        n = int(doc["num_aggregators"])
+        n = _int_field(doc, "num_aggregators")
         listed = {
-            (int(p["from"]), int(p["to"])): MovementOption(
-                int(p["delay_slots"]), float(p["cost_kwh_per_slot"])
+            (_int_field(p, "from"), _int_field(p, "to")): MovementOption(
+                _int_field(p, "delay_slots"), float(p["cost_kwh_per_slot"])
             )
             for p in doc["pairs"]
         }
@@ -538,9 +564,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
             )
         cfg_doc = doc["config"]
         cfg = SystemConfig(
-            num_aggregators=int(cfg_doc["num_aggregators"]),
+            num_aggregators=_int_field(cfg_doc, "num_aggregators"),
             budgets_kw=tuple(float(b) for b in cfg_doc["budgets_kw"]),
-            horizon_slots=int(cfg_doc["horizon_slots"]),
+            horizon_slots=_int_field(cfg_doc, "horizon_slots"),
             slot_hours=float(cfg_doc["slot_hours"]),
             movement=_movement_from_dict(cfg_doc["movement"]),
             beta_max=float(cfg_doc.get("beta_max", DEFAULT_BETA_MAX)),
@@ -548,14 +574,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
         devices = tuple(
             DeviceRequest(
                 id=str(d["id"]),
-                arrival_slot=int(d["arrival_slot"]),
-                deadline_slot=int(d["deadline_slot"]),
+                arrival_slot=_int_field(d, "arrival_slot"),
+                deadline_slot=_int_field(d, "deadline_slot"),
                 mobile=bool(d["mobile"]),
                 initial_energy_kwh=float(d["initial_energy_kwh"]),
                 demand_kwh=float(d["demand_kwh"]),
                 criticality=float(d["criticality"]),
                 modes=PowerModeSet(tuple(float(m) for m in d["modes_kw"])),
-                home=int(d["home"]),
+                home=_int_field(d, "home"),
             )
             for d in doc["devices"]
         )

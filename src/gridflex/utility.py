@@ -20,6 +20,7 @@ from .model import (
     DEFAULT_BETA_MAX,
     Action,
     DeviceRequest,
+    Idle,
     Move,
     MovementMatrix,
     Serve,
@@ -141,20 +142,26 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
     Only slots that can cost something are passed to `slot_loss`: a Move,
     or a slot past the deadline with demand outstanding. Every term of
     any other slot is exactly 0, and adding 0.0 changes no sum. So
-    scoring also starts at arrival, since a valid row idles before it.
+    scoring also starts at arrival, since a valid row idles before it,
+    and an Idle slot that cannot cost (most of a row) is passed over
+    with one type check: it changes no progress either.
     """
+    demand = request.demand_kwh
+    deadline = request.deadline_slot
     progress = 0.0
     extra = 0.0
     total = d_sum = m_sum = p_sum = 0.0
     for slot in range(max(request.arrival_slot, 0), len(row)):
         action = row[slot]
+        if type(action) is Idle and (slot <= deadline or progress >= demand):
+            continue
         moving = isinstance(action, Move)
         if isinstance(action, Serve):
             delivered = request.modes.power(action.mode_index) * cfg.slot_hours
-            progress += min(delivered, max(request.demand_kwh + extra - progress, 0.0))
+            progress += min(delivered, max(demand + extra - progress, 0.0))
         elif moving and (slot == 0 or row[slot - 1] != action):
             extra += cfg.movement.total_cost(action.origin, action.target)
-        if not moving and (slot <= request.deadline_slot or progress >= request.demand_kwh):
+        if not moving and (slot <= deadline or progress >= demand):
             continue
         b = slot_loss(request, progress, action, slot, cfg)
         total += b.total

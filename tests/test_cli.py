@@ -168,6 +168,33 @@ class TestMalformedInput:
         bad.write_text(json.dumps(doc))
         self.assert_rejected(["run", str(bad)], capsys)
 
+    @pytest.mark.parametrize("value", [0.7, True], ids=["fraction", "boolean"])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("devices", 0, "arrival_slot"),
+            ("devices", 0, "deadline_slot"),
+            ("devices", 0, "home"),
+            ("config", "horizon_slots"),
+            ("config", "num_aggregators"),
+            ("config", "movement", "num_aggregators"),
+            ("config", "movement", "pairs", 0, "from"),
+            ("config", "movement", "pairs", 0, "to"),
+            ("config", "movement", "pairs", 0, "delay_slots"),
+        ],
+        ids=lambda path: "movement." + path[-1] if "movement" in path else path[-1],
+    )
+    def test_run_inexact_integer_field(self, path, value, tmp_path, scenario_file, capsys):
+        # neither is truncated to an integer: 0.7 is not 0 and true is not 1
+        doc = json.loads(scenario_file.read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "inexact.json"
+        bad.write_text(json.dumps(doc))
+        self.assert_rejected(["run", str(bad)], capsys)
+
     def test_validate_non_integer_action_field(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "result.json"
         assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_OK

@@ -1,5 +1,6 @@
 """Engine packaging: validator gate, replay, determinism, experiments."""
 
+import dataclasses
 import json
 
 import pytest
@@ -16,13 +17,19 @@ from gridflex.engine import (
     run,
     sample_grid,
 )
+from gridflex.exact import validate_schedule
 from gridflex.model import (
+    IDLE,
     DeviceRequest,
+    Idle,
+    Move,
     MovementMatrix,
     PowerModeSet,
     Scenario,
+    Serve,
     SystemConfig,
 )
+from gridflex.utility import row_loss
 
 
 def small_scenario(seed=0):
@@ -148,6 +155,51 @@ class TestImprovementReport:
             "edf": self._fake("edf", 0.0),
         }
         assert improvement_report(results)["edf"] == "n/a"
+
+
+def with_fresh_idles(decisions):
+    """The same matrix with every IDLE singleton replaced by its own Idle()."""
+    return {k: [Idle() if a is IDLE else a for a in row] for k, row in decisions.items()}
+
+
+class TestFreshIdleInstance:
+    """Serialization, row scoring and the validator skip the IDLE singleton
+    (or any Idle) on fast paths; an Idle() that is not the singleton must
+    come out exactly as the singleton does."""
+
+    def test_run_matrix_encoded_scored_and_validated_alike(self, congested):
+        result = run(congested, "heuristic")
+        fresh = with_fresh_idles(result.decisions)
+        assert Idle() is not IDLE
+        assert any(isinstance(a, Move) for row in fresh.values() for a in row)
+        as_fresh = dataclasses.replace(result, decisions=fresh)
+        assert as_fresh.canonical_json() == result.canonical_json()
+        cfg = congested.config
+        for dev in congested.devices:
+            assert row_loss(dev, fresh[dev.id], cfg) == row_loss(
+                dev, result.decisions[dev.id], cfg
+            )
+        devices = list(congested.devices)
+        report = validate_schedule(fresh, cfg, devices)
+        assert report.all_pass
+        assert report.summary() == validate_schedule(result.decisions, cfg, devices).summary()
+
+    def test_late_row_and_interrupted_transit_alike(self):
+        # late idle slots cost; an idle slot inside a two-slot transit breaks it
+        cfg = SystemConfig(2, (2.0, 2.0), 5, 0.5, MovementMatrix.uniform(2, 2, 0.1))
+        dev = DeviceRequest(
+            id="a", arrival_slot=0, deadline_slot=1, mobile=True,
+            initial_energy_kwh=1.0, demand_kwh=4.0, criticality=1.6,
+            modes=PowerModeSet((2.0,)), home=0,
+        )
+        row = [Serve(1, 0), Move(0, 1), IDLE, IDLE, IDLE]
+        fresh = with_fresh_idles({"a": row})
+        singleton = row_loss(dev, row, cfg)
+        assert singleton.deadline_loss > 0.0
+        assert row_loss(dev, fresh["a"], cfg) == singleton
+        reports = [validate_schedule(m, cfg, [dev]) for m in ({"a": row}, fresh)]
+        assert reports[0].checks["vi"].witness == ("a", 2)
+        assert reports[0].summary() == reports[1].summary()
 
 
 class TestExperiments:

@@ -12,8 +12,9 @@ integer fields as well as float fields. Decoding, `validate_config` and
 
 Anything else (another exception, an infeasible schedule, a NaN or
 infinite loss) fails the test. A share of the numeric fields is replaced
-by a wild value: any float in a float field; NaN, +/-Infinity or a small
-integer in an integer field. Integers stay small so every run is short.
+by a wild value: any float in a float field; NaN, +/-Infinity, a
+boolean, a small float (mostly fractional) or a small integer in an
+integer field. Integers stay small so every run is short.
 """
 
 import json
@@ -26,7 +27,12 @@ from gridflex.model import ScenarioFormatError, scenario_from_dict, validate_con
 
 SCHEDULERS = ("heuristic", "edf", "hp")
 
-WILD_INT = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(-3, 40))
+WILD_INT = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.floats(-3.0, 40.0),
+    st.integers(-3, 40),
+)
 WILD_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 
@@ -44,8 +50,8 @@ def scenario_docs(draw):
     horizon = draw(st.integers(1, 10))
     pairs = [
         {
-            "from": i,
-            "to": j,
+            "from": number(st.just(i), integral=True),
+            "to": number(st.just(j), integral=True),
             "delay_slots": number(st.integers(1, 3), integral=True),
             "cost_kwh_per_slot": number(st.floats(0.0, 0.5)),
         }
@@ -80,7 +86,10 @@ def scenario_docs(draw):
             "horizon_slots": number(st.just(horizon), integral=True),
             "slot_hours": number(st.sampled_from([0.25, 0.5, 1.0])),
             "beta_max": number(st.sampled_from([1e3, 1e9, 1e308])),
-            "movement": {"num_aggregators": n, "pairs": pairs},
+            "movement": {
+                "num_aggregators": number(st.just(n), integral=True),
+                "pairs": pairs,
+            },
         },
         "devices": devices,
     }

@@ -107,6 +107,31 @@ class TestScheduleSlot:
         dev = make_state(make_request("a", [2], demand=10.0))
         assert schedule_slot(agg, [dev], slot=0, slot_hours=0.5) == {}
 
+    def test_first_pass_reaches_small_mode_past_a_misfit(self):
+        # 5 kW: a takes 4, b's 3 kW lowest mode no longer fits, c's 1 kW does;
+        # the first pass stops only below the cluster's smallest lowest mode
+        agg = AggregatorState(index=0, budget_kw=5.0)
+        devs = [
+            make_state(make_request("a", [4], demand=40.0, deadline=1)),
+            make_state(make_request("b", [3], demand=40.0, deadline=2)),
+            make_state(make_request("c", [1], demand=40.0, deadline=3)),
+        ]
+        assigned = schedule_slot(agg, devs, 0, 0.5)
+        assert assigned == {"a": Serve(1, 0), "c": Serve(1, 0)}
+        assert agg.committed_kw == pytest.approx(5.0)
+
+    def test_failed_upgrade_step_leaves_the_sweeps(self):
+        # 4 kW: first pass a->1, b->1 (2 kW left); a's 4 kW step never fits,
+        # so b alone takes the remaining two 1 kW steps
+        agg = AggregatorState(index=0, budget_kw=4.0)
+        devs = [
+            make_state(make_request("a", [1, 5], demand=40.0, deadline=1)),
+            make_state(make_request("b", [1, 2, 3], demand=40.0, deadline=2)),
+        ]
+        assigned = schedule_slot(agg, devs, 0, 0.5)
+        assert assigned == {"a": Serve(1, 0), "b": Serve(3, 0)}
+        assert agg.committed_kw == pytest.approx(4.0)
+
     def test_round_robin_respects_budget(self):
         agg = AggregatorState(index=0, budget_kw=7.0)
         devs = [
@@ -211,6 +236,25 @@ class TestMobilityDecision:
         aggs = open_aggregators(2)
         assert mobility_decision(dev, aggs, cfg.movement, 3, 20, cfg.beta_max) is None
 
+    @pytest.mark.parametrize("slot", [0, 5, 6])
+    def test_stays_at_and_before_deadline_despite_room(self, slot):
+        # an empty one-hop aggregator and ample on-board energy, but staying
+        # costs nothing until the deadline has passed
+        cfg = make_cfg(num_aggregators=2)
+        dev = make_state(
+            make_request("a", [2], demand=10.0, deadline=6, mobile=True, initial=50.0)
+        )
+        aggs = open_aggregators(2)
+        assert mobility_decision(dev, aggs, cfg.movement, slot, 20, cfg.beta_max) is None
+
+    def test_moves_one_slot_past_deadline(self):
+        cfg = make_cfg(num_aggregators=2)
+        dev = make_state(
+            make_request("a", [2], demand=10.0, deadline=6, mobile=True, initial=50.0)
+        )
+        aggs = open_aggregators(2)
+        assert mobility_decision(dev, aggs, cfg.movement, 7, 20, cfg.beta_max) == Move(0, 1)
+
     def test_transit_must_fit_horizon(self):
         cfg = make_cfg(num_aggregators=2)
         dev = make_state(
@@ -310,6 +354,33 @@ class TestRunHorizon:
         assert n_move_slots > 0
         assert 2.0 * result.losses["b"].mobility_loss == pytest.approx(2 * 0.15 * n_move_slots)
         assert mover.extra_demand_kwh == pytest.approx(0.15 * n_move_slots)
+
+    def test_transit_start_grows_target_and_deficit(self, monkeypatch):
+        # the state a landing device brings to its first schedule_slot call
+        cfg = make_cfg(num_aggregators=2, budget=2.0, horizon=12, cost=0.15)
+        devs = [
+            make_request("a", [2], demand=6.0, deadline=6, home=0),
+            make_request("b", [2], demand=6.0, deadline=6, home=0, mobile=True, initial=1.0),
+        ]
+        landed = []
+        original = heuristic.schedule_slot
+
+        def recording(agg, cluster, slot, *args):
+            for st in cluster:
+                if st.request.id == "b" and st.extra_demand_kwh > 0.0 and not landed:
+                    landed.append((st.extra_demand_kwh, st.target_kwh, st.deficit_kwh,
+                                   st.progress_kwh))
+            return original(agg, cluster, slot, *args)
+
+        monkeypatch.setattr(heuristic, "schedule_slot", recording)
+        result = run_horizon(cfg, devs)
+        assert any(isinstance(a, Move) for a in result.decisions["b"])
+        extra, target, deficit, progress = landed[0]
+        assert extra == 0.15  # one one-slot hop
+        assert target == 6.0 + 0.15
+        assert deficit == target - progress > 0.0
+        final = result.states["b"]
+        assert final.target_kwh == final.request.demand_kwh + final.extra_demand_kwh
 
     def test_online_causality(self):
         # devices arriving after slot t cannot influence decisions at slots <= t

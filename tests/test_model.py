@@ -6,6 +6,7 @@ import math
 import pytest
 
 from gridflex.model import (
+    MAX_HORIZON_SLOTS,
     DeviceRequest,
     MovementMatrix,
     MovementOption,
@@ -210,6 +211,19 @@ class TestValidateConfig:
         assert validate_config(dataclasses.replace(cfg, beta_max=1e300), devices) == []
 
 
+    def test_horizon_at_ceiling_passes(self):
+        # validation only: no horizon of this length is run
+        cfg = make_config(horizon=MAX_HORIZON_SLOTS)
+        assert validate_config(cfg, [make_device()]) == []
+
+    def test_horizon_past_ceiling_flagged(self):
+        cfg = make_config(horizon=MAX_HORIZON_SLOTS + 1)
+        violations = validate_config(cfg, [])
+        assert [(v.field, v.rule) for v in violations] == [
+            ("horizon_slots", f"horizon <= {MAX_HORIZON_SLOTS} slots")
+        ]
+
+
 class TestScenarioRoundTrip:
     def test_dict_round_trip(self):
         cfg = make_config()
@@ -227,4 +241,20 @@ class TestScenarioRoundTrip:
         doc = scenario_to_dict(Scenario("v", make_config(), (make_device(),)))
         doc["schema_version"] = 99
         with pytest.raises(ScenarioFormatError, match="schema_version 99"):
+            scenario_from_dict(doc)
+
+    def test_integral_float_decodes_to_int(self):
+        doc = scenario_to_dict(Scenario("f", make_config(), (make_device(),)))
+        doc["devices"][0]["deadline_slot"] = 12.0
+        doc["config"]["movement"]["pairs"][0]["delay_slots"] = 1.0
+        back = scenario_from_dict(doc)
+        assert type(back.devices[0].deadline_slot) is int
+        assert back == scenario_from_dict(scenario_to_dict(back))
+
+    @pytest.mark.parametrize("value", [0.7, True, False, "3", None])
+    def test_inexact_integer_rejected(self, value):
+        # truncating 0.7 to 0 or True to 1 would accept a different scenario
+        doc = scenario_to_dict(Scenario("i", make_config(), (make_device(),)))
+        doc["devices"][0]["arrival_slot"] = value
+        with pytest.raises(ScenarioFormatError, match="arrival_slot must be an integer"):
             scenario_from_dict(doc)

@@ -186,6 +186,14 @@ class TestSlotLoss:
 
 
 class TestDeviceStateLedger:
+    def test_target_set_at_construction(self):
+        request = make_state(initial=1.0).request
+        state = DeviceState(request=request, location=AtCluster(0), extra_demand_kwh=0.3)
+        assert state.target_kwh == request.demand_kwh + 0.3
+        state.progress_kwh = 1.0
+        assert state.deficit_kwh == state.target_kwh - 1.0
+
+
     def test_available_energy_tracks_moves(self):
         state = make_state(initial=1.0)
         state.progress_kwh = 2.0
