@@ -11,6 +11,7 @@ slot t never look at arrivals after t.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -109,8 +110,15 @@ def schedule_slot(
 
     agg.committed_kw = agg.budget_kw - residual
     return {
-        dev_id: Serve(mode_index, agg.index) for dev_id, mode_index in assignment.items()
+        dev_id: _serve(mode_index, agg.index) for dev_id, mode_index in assignment.items()
     }
+
+
+@functools.cache
+def _serve(mode_index: int, aggregator: int) -> Serve:
+    """The one `Serve` for a (mode, aggregator) pair: actions are frozen
+    and compare by value, so every assignment can share it."""
+    return Serve(mode_index, aggregator)
 
 
 def _upgrade_one_step(
@@ -151,6 +159,10 @@ def mobility_decision(
     the affordable ones (total movement cost within on-board energy) the
     cheapest wins, and the move happens only when the deadline loss of
     staying exceeds its cost.
+
+    `run_horizon` calls this only for the devices it can move (mobile,
+    unserved, with a deficit, at a cluster and past the deadline); the
+    checks here stay so the function answers alone for any device.
     """
     if not dev.request.mobile:
         return None
@@ -224,13 +236,17 @@ def run_horizon(
 
     Each slot visits only the live set, kept in device-id order: devices
     that have arrived and can still cost something. Arrivals join it at
-    their arrival slot. A device leaves it for good once it sits at a
-    cluster, is `completed`, and has progress >= `demand_kwh`: from then
-    on its action is Idle and its slot loss is exactly 0, so its row is
-    already final. Both conditions are needed, since `completed` allows
-    an EPS shortfall that the deadline term still charges. Work per slot
-    is therefore proportional to live devices, not to every request that
-    has arrived.
+    their arrival slot. After the aggregator phase, one pass over the
+    live set makes the device phase and builds the next live set. Only an
+    unserved mobile device past its deadline, at a cluster and with a
+    deficit is offered to `mobility_decision`: for any other device
+    staying costs nothing, so it would stay. Every device's choice reads
+    only the residuals the aggregator phase left and its own state, so
+    the order of the pass changes nothing. A device leaves the live set
+    for good once it sits at a cluster, is `completed`, and has progress
+    >= `demand_kwh`: from then on its action is Idle and its slot loss is
+    exactly 0, so its row is already final. Work per slot is therefore
+    proportional to live devices, not to every request that has arrived.
     """
     tau = cfg.horizon_slots
     ordered = sorted(devices, key=lambda d: d.id)
@@ -277,27 +293,34 @@ def run_horizon(
                 # the deficit, read from the fields: a served device's exceeds EPS
                 st.progress_kwh += min(delivered, st.target_kwh - st.progress_kwh)
 
-        # device phase: unserved mobile devices may depart this slot
-        if mobility_enabled:
-            for st in live:
-                # unserved (the slot still holds the IDLE row fill), not
-                # `completed` (read from the fields), and at a cluster
-                if decisions[st.request.id][t] is not IDLE:
-                    continue
+        # device phase, one pass: late unserved mobile devices may depart
+        # this slot, and devices whose rows are final leave the live set
+        next_live: list[DeviceState] = []
+        for st in live:
+            if isinstance(st.location, AtCluster):
+                req = st.request
+                # the deficit against `target_kwh`, as `completed` reads it
                 if st.target_kwh - st.progress_kwh <= EPS:
-                    continue
-                if not isinstance(st.location, AtCluster):
-                    continue
-                move = mobility_decision(st, aggs, cfg.movement, t, tau, cfg.beta_max)
-                if move is not None:
-                    opt = cfg.movement.option(move.origin, move.target)
-                    decisions[st.request.id][t] = move
-                    st.location = InTransit(move.origin, move.target, t + opt.delay_slots)
-                    st.extra_demand_kwh += opt.delay_slots * opt.cost_kwh_per_slot
-                    st.target_kwh = st.request.demand_kwh + st.extra_demand_kwh
-
-        # devices whose rows are final leave the live set
-        live = [st for st in live if not _retired(st)]
+                    # retired only with progress >= demand as well: `completed`
+                    # allows an EPS shortfall that the deadline term still charges
+                    if req.demand_kwh - st.progress_kwh <= 0.0:
+                        continue
+                # unserved means the slot still holds the IDLE row fill
+                elif (
+                    mobility_enabled
+                    and req.mobile
+                    and t > req.deadline_slot
+                    and decisions[req.id][t] is IDLE
+                ):
+                    move = mobility_decision(st, aggs, cfg.movement, t, tau, cfg.beta_max)
+                    if move is not None:
+                        opt = cfg.movement.option(move.origin, move.target)
+                        decisions[req.id][t] = move
+                        st.location = InTransit(move.origin, move.target, t + opt.delay_slots)
+                        st.extra_demand_kwh += opt.delay_slots * opt.cost_kwh_per_slot
+                        st.target_kwh = req.demand_kwh + st.extra_demand_kwh
+            next_live.append(st)
+        live = next_live
 
         committed.append([agg.committed_kw for agg in aggs])
         slot_wall.append(time.perf_counter() - t0)
@@ -309,17 +332,6 @@ def run_horizon(
         losses=losses,
         committed_kw=committed,
         slot_wall_s=slot_wall,
-    )
-
-
-def _retired(st: DeviceState) -> bool:
-    """Idle with zero slot loss for every later slot: no deadline deficit,
-    nothing left to serve (`completed`, read from the fields), and at a
-    cluster, so no transit is pending."""
-    return (
-        st.request.demand_kwh - st.progress_kwh <= 0.0
-        and st.target_kwh - st.progress_kwh <= EPS
-        and isinstance(st.location, AtCluster)
     )
 
 

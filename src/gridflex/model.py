@@ -505,6 +505,22 @@ def _int_field(doc: dict, key: str) -> int:
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
+def _bool_field(doc: dict, key: str) -> bool:
+    """`doc[key]` as a JSON boolean; `bool()` would make `"false"` true."""
+    value = doc[key]
+    if type(value) is bool:
+        return value
+    raise ValueError(f"{key} must be a boolean, got {value!r}")
+
+
+def _str_field(doc: dict, key: str) -> str:
+    """`doc[key]` as a JSON string; `str()` would make `null` the id `'None'`."""
+    value = doc[key]
+    if type(value) is str:
+        return value
+    raise ValueError(f"{key} must be a string, got {value!r}")
+
+
 def _movement_from_dict(doc: dict) -> MovementMatrix:
     try:
         n = _int_field(doc, "num_aggregators")
@@ -573,10 +589,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
         devices = tuple(
             DeviceRequest(
-                id=str(d["id"]),
+                id=_str_field(d, "id"),
                 arrival_slot=_int_field(d, "arrival_slot"),
                 deadline_slot=_int_field(d, "deadline_slot"),
-                mobile=bool(d["mobile"]),
+                mobile=_bool_field(d, "mobile"),
                 initial_energy_kwh=float(d["initial_energy_kwh"]),
                 demand_kwh=float(d["demand_kwh"]),
                 criticality=float(d["criticality"]),
@@ -585,7 +601,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             )
             for d in doc["devices"]
         )
-        return Scenario(str(doc["id"]), cfg, devices)
+        return Scenario(_str_field(doc, "id"), cfg, devices)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad scenario document: {exc}") from exc
 

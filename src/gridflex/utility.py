@@ -7,7 +7,9 @@ the stationary penalty fires only when a non-mobile device changes
 cluster. Each term is clamped at the configured penalty ceiling so long
 horizons cannot overflow a row total. `row_loss` is the one place a
 device's loss is summed: the engine, the replay check and the exact
-solver all score a finished decision row through it.
+solver all score a finished decision row through it. Only its Move slots
+go through `slot_loss`; a late slot of any other action costs exactly
+its deadline term, which `row_loss` adds directly.
 """
 
 from __future__ import annotations
@@ -139,12 +141,16 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
     capped at demand plus movement-incurred extra demand, a new transit
     committing its full cost when it starts), so a row scored here is
     bit-identical whether it came from the engine or from elsewhere.
-    Only slots that can cost something are passed to `slot_loss`: a Move,
-    or a slot past the deadline with demand outstanding. Every term of
-    any other slot is exactly 0, and adding 0.0 changes no sum. So
-    scoring also starts at arrival, since a valid row idles before it,
-    and an Idle slot that cannot cost (most of a row) is passed over
-    with one type check: it changes no progress either.
+    Only slots that can cost something are scored: a Move, or a slot past
+    the deadline with demand outstanding. Every term of any other slot is
+    exactly 0, and adding 0.0 changes no sum. So scoring also starts at
+    arrival, since a valid row idles before it, and an Idle slot that
+    cannot cost (most of a row) is passed over with one type check: it
+    changes no progress either. Only a Move slot goes through
+    `slot_loss`. Any other late slot has mobility and stationary terms
+    of 0.0, so its `LossBreakdown.total` is d + 2.0 * 0.0 + 0.0 == d for
+    its deadline term d >= 0; that term is added to `total` and the
+    deadline sum directly, with the same bits.
     """
     demand = request.demand_kwh
     deadline = request.deadline_slot
@@ -161,7 +167,13 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
             progress += min(delivered, max(demand + extra - progress, 0.0))
         elif moving and (slot == 0 or row[slot - 1] != action):
             extra += cfg.movement.total_cost(action.origin, action.target)
-        if not moving and (slot <= deadline or progress >= demand):
+        if not moving:
+            if slot > deadline and progress < demand:
+                d = deadline_loss(
+                    progress, demand, slot, deadline, request.criticality, cfg.beta_max
+                )
+                total += d
+                d_sum += d
             continue
         b = slot_loss(request, progress, action, slot, cfg)
         total += b.total
