@@ -195,6 +195,28 @@ class TestMalformedInput:
         bad.write_text(json.dumps(doc))
         self.assert_rejected(["run", str(bad)], capsys)
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, 0.7, None], ids=repr)
+    def test_run_non_boolean_mobile(self, value, tmp_path, scenario_file, capsys):
+        # bool() would make "false" true; only JSON true and false are flags
+        doc = json.loads(scenario_file.read_text())
+        doc["devices"][0]["mobile"] = value
+        bad = tmp_path / "mobile.json"
+        bad.write_text(json.dumps(doc))
+        self.assert_rejected(["run", str(bad)], capsys)
+
+    @pytest.mark.parametrize("value", [None, 7, 7.0, True], ids=repr)
+    @pytest.mark.parametrize("path", [("id",), ("devices", 0, "id")], ids=["scenario", "device"])
+    def test_run_non_string_id(self, path, value, tmp_path, scenario_file, capsys):
+        # str() would make null the id 'None' and 7 the id '7'
+        doc = json.loads(scenario_file.read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "id.json"
+        bad.write_text(json.dumps(doc))
+        self.assert_rejected(["run", str(bad)], capsys)
+
     def test_validate_non_integer_action_field(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "result.json"
         assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_OK

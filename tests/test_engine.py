@@ -30,6 +30,7 @@ from gridflex.model import (
     SystemConfig,
 )
 from gridflex.utility import row_loss
+from loss_oracle import oracle_mismatches
 
 
 def small_scenario(seed=0):
@@ -97,6 +98,10 @@ class TestReplay:
     def test_replay_reproduces_total_exactly(self, congested, scheduler):
         result = run(congested, scheduler)
         assert replay_loss(congested, result.decisions) == result.total_loss
+        # replay shares `row_loss` with the engine; the oracle does not
+        assert oracle_mismatches(
+            congested.devices, congested.config, result.decisions, result.per_device
+        ) == []
 
     def test_replay_with_mobility_moves(self):
         # engineered so a mobile device actually migrates

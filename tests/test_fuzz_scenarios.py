@@ -11,10 +11,11 @@ integer fields as well as float fields. Decoding, `validate_config` and
   `exact.validate_schedule` and whose `total_loss` is finite.
 
 Anything else (another exception, an infeasible schedule, a NaN or
-infinite loss) fails the test. A share of the numeric fields is replaced
-by a wild value: any float in a float field; NaN, +/-Infinity, a
-boolean, a small float (mostly fractional) or a small integer in an
-integer field. Integers stay small so every run is short.
+infinite loss) fails the test. A share of the fields is replaced by a
+wild value: any float in a float field; NaN, +/-Infinity, a boolean, a
+small float (mostly fractional) or a small integer in an integer field;
+a string, number or null in `mobile`; and a number, boolean or null in
+an `id`. Integers stay small so every run is short.
 """
 
 import json
@@ -34,6 +35,10 @@ WILD_INT = st.one_of(
     st.integers(-3, 40),
 )
 WILD_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+WILD_FLAG = st.one_of(
+    st.sampled_from(["true", "false", None]), st.integers(0, 1), st.floats(0.0, 1.0)
+)
+WILD_ID = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(-3.0, 40.0))
 
 
 @st.composite
@@ -41,10 +46,21 @@ def scenario_docs(draw):
     # share of numeric fields replaced by a wild value, in percent
     wild_rate = draw(st.sampled_from([0, 5, 30]))
 
+    def wild(rate):
+        return rate and draw(st.integers(0, 99)) < rate
+
     def number(tame, integral=False):
-        if wild_rate and draw(st.integers(0, 99)) < wild_rate:
+        if wild(wild_rate):
             return draw(WILD_INT if integral else WILD_FLOAT)
         return draw(tame)
+
+    # a fifth of the rate: one wild flag or id rejects the whole document,
+    # and at the full rate few documents would be left to run
+    def flag():
+        return draw(WILD_FLAG) if wild(wild_rate // 5) else draw(st.booleans())
+
+    def text(tame):
+        return draw(WILD_ID) if wild(wild_rate // 5) else tame
 
     n = draw(st.integers(1, 3))
     horizon = draw(st.integers(1, 10))
@@ -65,10 +81,10 @@ def scenario_docs(draw):
         modes = draw(st.lists(st.floats(0.5, 6.0), min_size=1, max_size=3, unique=True))
         devices.append(
             {
-                "id": f"d{k}",
+                "id": text(f"d{k}"),
                 "arrival_slot": number(st.just(arrival), integral=True),
                 "deadline_slot": number(st.integers(arrival + 1, horizon), integral=True),
-                "mobile": draw(st.booleans()),
+                "mobile": flag(),
                 "initial_energy_kwh": number(st.floats(0.0, 2.0)),
                 "demand_kwh": number(st.floats(0.01, 6.0)),
                 # 1000 puts every late slot at the beta_max clamp
@@ -79,7 +95,7 @@ def scenario_docs(draw):
         )
     doc = {
         "schema_version": 1,
-        "id": "fuzz",
+        "id": text("fuzz"),
         "config": {
             "num_aggregators": number(st.just(n), integral=True),
             "budgets_kw": [number(st.floats(0.5, 8.0)) for _ in range(n)],

@@ -24,6 +24,7 @@ from gridflex.model import (
     SystemConfig,
     encode_action,
 )
+from loss_oracle import oracle_mismatches
 
 
 def make_request(dev_id, modes, demand=50.0, deadline=10, arrival=0, kappa=1.6,
@@ -411,8 +412,21 @@ def rows_of(result):
 
 
 def assert_replay_matches(cfg, devs, result):
+    """Replay reproduces the total bit for bit, and every row's loss and
+    progress match the independent oracle."""
     replayed = engine.replay_loss(Scenario("live-set", cfg, tuple(devs)), result.decisions)
     assert replayed == result.total_loss
+    per_device = {
+        dev_id: {
+            "loss_total": loss.total,
+            "deadline_loss": loss.deadline_loss,
+            "mobility_loss_weighted": 2.0 * loss.mobility_loss,
+            "stationary_penalty": loss.stationary_penalty,
+            "progress_kwh": result.states[dev_id].progress_kwh,
+        }
+        for dev_id, loss in result.losses.items()
+    }
+    assert oracle_mismatches(devs, cfg, result.decisions, per_device) == []
 
 
 class TestLiveSet:
@@ -523,6 +537,62 @@ def live_device_slots(cfg, devices, result):
         )
         total += last - dev.arrival_slot + 1 - mid_transit
     return total
+
+
+def record_mobility_calls(monkeypatch):
+    """Record (device id, slot, returned move) for every `mobility_decision` call."""
+    calls = []
+    original = heuristic.mobility_decision
+
+    def recording(dev, aggregators, matrix, slot, *args):
+        move = original(dev, aggregators, matrix, slot, *args)
+        calls.append((dev.request.id, slot, move))
+        return move
+
+    monkeypatch.setattr(heuristic, "mobility_decision", recording)
+    return calls
+
+
+class TestMobilityOffers:
+    """`run_horizon` offers `mobility_decision` only the devices it could
+    move: staying costs the others nothing, so they would stay."""
+
+    def test_only_late_mobile_devices_are_offered(self, monkeypatch):
+        # the home budget fits no mode, so both devices idle there from slot 0;
+        # aggregator 1 has room, and only "mob", once late, weighs going there
+        calls = record_mobility_calls(monkeypatch)
+        cfg = SystemConfig(2, (1.0, 10.0), 12, 0.5, MovementMatrix.line(2, 0.15))
+        devs = [
+            make_request("fixed", [2], demand=6.0, deadline=3),
+            make_request("mob", [2], demand=6.0, deadline=5, mobile=True, initial=1.0),
+        ]
+        result = run_horizon(cfg, devs)
+        assert calls == [("mob", 6, Move(0, 1))]
+        assert rows_of(result) == {
+            "fixed": ["I"] * 12,
+            "mob": ["I"] * 6 + ["M:0:1"] + ["S:1:1"] * 5,
+        }
+        assert_replay_matches(cfg, devs, result)
+
+    def test_every_move_passes_through_the_decision(self, monkeypatch):
+        # the engine test's migrating scenario: "b" still moves, and each of
+        # its transit starts is a move `mobility_decision` returned
+        calls = record_mobility_calls(monkeypatch)
+        cfg = SystemConfig(2, (2.0, 2.0), 12, 0.5, MovementMatrix.line(2, 0.15))
+        devs = [
+            DeviceRequest("a", 0, 6, False, 0.0, 6.0, 1.6, PowerModeSet((2.0,)), 0),
+            DeviceRequest("b", 0, 6, True, 1.0, 6.0, 1.8, PowerModeSet((2.0,)), 0),
+        ]
+        result = run_horizon(cfg, devs)
+        starts = [
+            ("b", t, action)
+            for t, action in enumerate(result.decisions["b"])
+            if isinstance(action, Move) and (t == 0 or result.decisions["b"][t - 1] != action)
+        ]
+        assert starts
+        assert [c for c in calls if c[2] is not None] == starts
+        assert all(dev_id == "b" and t > 6 for dev_id, t, _ in calls)
+        assert_replay_matches(cfg, devs, result)
 
 
 class TestWorkProportionalToLiveSet:

@@ -20,8 +20,10 @@ from gridflex.model import (
 )
 from gridflex.utility import (
     LossBreakdown,
+    RowLoss,
     deadline_loss,
     mobility_loss,
+    row_loss,
     slot_loss,
     stationary_penalty,
 )
@@ -183,6 +185,51 @@ class TestSlotLoss:
     def test_total_composition(self, d, m, p):
         breakdown = LossBreakdown(d, m, p)
         assert breakdown.total == d + 2.0 * m + p
+
+
+def slot_by_slot(request, row, cfg):
+    """Reference for `row_loss`: every slot of the row through `slot_loss`,
+    summed in slot order, with the engine's progress update."""
+    progress = extra = 0.0
+    total = d_sum = m_sum = p_sum = 0.0
+    for slot, action in enumerate(row):
+        if isinstance(action, Serve):
+            delivered = request.modes.power(action.mode_index) * cfg.slot_hours
+            progress += min(delivered, max(request.demand_kwh + extra - progress, 0.0))
+        elif isinstance(action, Move) and (slot == 0 or row[slot - 1] != action):
+            extra += cfg.movement.total_cost(action.origin, action.target)
+        b = slot_loss(request, progress, action, slot, cfg)
+        total += b.total
+        d_sum += b.deadline_loss
+        m_sum += b.mobility_loss
+        p_sum += b.stationary_penalty
+    return RowLoss(total, d_sum, m_sum, p_sum)
+
+
+class TestRowLoss:
+    """`row_loss` skips the slots that cannot cost and adds a late non-Move
+    slot's deadline term directly; the sums must keep every bit."""
+
+    @pytest.mark.parametrize(
+        "mobile, kappa, row",
+        [
+            # late Idle slots, then late Serve slots, then late Idle again
+            (True, 1.6, [Serve(1, 0)] * 3 + [IDLE] * 5 + [Serve(3, 0)] * 4 + [IDLE] * 8),
+            # a two-slot Move (0 -> 2 on the line) that starts late, then service
+            (True, 1.6, [IDLE] * 8 + [Move(0, 2)] * 2 + [Serve(2, 2)] * 6 + [IDLE] * 4),
+            # a non-mobile Move pays the stationary penalty in its one slot
+            (False, 1.8, [Serve(1, 0)] * 2 + [IDLE] * 5 + [Move(0, 1)] + [Serve(1, 1)] * 12),
+            # every late deadline term at the beta_max clamp
+            (True, 1000.0, [Serve(3, 0)] * 2 + [IDLE] * 6 + [Move(0, 1)] + [IDLE] * 11),
+        ],
+        ids=["late-idle-and-serve", "two-slot-move", "stationary-move", "clamped"],
+    )
+    def test_equals_slot_by_slot_sum(self, mobile, kappa, row):
+        cfg = make_cfg()
+        request = make_request(demand=10.0, deadline=6, kappa=kappa, mobile=mobile)
+        want = slot_by_slot(request, row, cfg)
+        assert want.deadline_loss > 0.0
+        assert row_loss(request, row, cfg) == want
 
 
 class TestDeviceStateLedger:
