@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: generate, ingest, run, validate, solve-exact, and the
-experiment suites. Exit codes: 0 success, 1 usage error, 2 validation
-failure or malformed input document, 3 exact-solver cap exceeded. Table
-output is always rendered from the same structured document that json
-output serializes.
+experiment suites. Exit codes: 0 success, 1 usage error (bad argument
+or unreadable file), 2 validation or generation failure, or a malformed
+or undecodable input document, 3 exact-solver cap exceeded. Each error
+is one stderr line. Table output is always rendered from the same
+structured document that json output serializes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .model import (
     ScenarioFormatError,
     encode_action,
     load_scenario,
-    save_scenario,
     scenario_to_dict,
     validate_config,
 )
@@ -28,6 +28,41 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A usage error is one stderr line; `-h` still shows the usage."""
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
+def _counts(text: str) -> list[int]:
+    return [_positive_int(c) for c in text.split(",")]
+
+
+def _classes(text: str) -> tuple[str, ...]:
+    combo = tuple(text.split(","))
+    for cls in combo:
+        if cls not in workload.LOAD_CLASSES:
+            raise argparse.ArgumentTypeError(
+                f"unknown load class {cls!r}; choose from {sorted(workload.LOAD_CLASSES)}"
+            )
+    return combo
+
+
+def _mobile_fraction(text: str) -> float:
+    try:
+        value = float(text)
+        workload.check_mobile_fraction(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -40,19 +75,12 @@ def _write_or_print(text: str, out: str | None) -> None:
 def _cmd_generate(args: argparse.Namespace) -> int:
     spec = workload.GenSpec(
         num_devices=args.devices,
-        class_combo=tuple(args.classes.split(",")),
+        class_combo=args.classes,
         mobile_fraction=args.mobile_fraction,
         seed=args.seed,
     )
-    try:
-        scenario = workload.generate(spec)
-    except workload.GenerationError as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.out:
-        save_scenario(scenario, args.out)
-    else:
-        print(json.dumps(scenario_to_dict(scenario), sort_keys=True))
+    scenario = workload.generate(spec)
+    _write_or_print(json.dumps(scenario_to_dict(scenario), sort_keys=True), args.out)
     return EXIT_OK
 
 
@@ -66,29 +94,14 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     scenario, dropped = workload.ingest_sessions(records, spec)
     if skipped or dropped:
         print(f"skipped {skipped} records, dropped {dropped} sessions", file=sys.stderr)
-    if args.out:
-        save_scenario(scenario, args.out)
-    else:
-        print(json.dumps(scenario_to_dict(scenario), sort_keys=True))
+    _write_or_print(json.dumps(scenario_to_dict(scenario), sort_keys=True), args.out)
     return EXIT_OK
-
-
-def _mobility_arg(value: str | None) -> bool | None:
-    if value is None:
-        return None
-    return value == "on"
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    try:
-        result = engine.run(scenario, args.scheduler, mobility=_mobility_arg(args.mobility))
-    except engine.InvalidScenarioError as exc:
-        print(f"scenario invalid: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except engine.InfeasibleRunError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
+    mobility = None if args.mobility is None else args.mobility == "on"
+    result = engine.run(scenario, args.scheduler, mobility=mobility)
     if args.format == "table":
         _write_or_print(_render_run_table(result), args.out)
     else:
@@ -136,11 +149,7 @@ def _cmd_solve_exact(args: argparse.Namespace) -> int:
             print(str(v), file=sys.stderr)
         return EXIT_VALIDATION
     instance = exact.ExactInstance(scenario, exact.ExactCaps(node_budget=args.node_budget))
-    try:
-        result = exact.solve_exact(instance)
-    except exact.CapExceededError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    result = exact.solve_exact(instance)
     doc = {
         "scenario_id": scenario.scenario_id,
         "optimal_loss": result.loss,
@@ -157,17 +166,11 @@ def _cmd_solve_exact(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.suite == "mobility-delta":
-        counts = [int(c) for c in args.counts.split(",")]
-        specs = engine.sample_grid(counts, args.samples, seed=args.seed)
+        specs = engine.sample_grid(args.counts, args.samples, seed=args.seed)
         summary = engine.mobility_delta_experiment(specs)
-        if args.format == "table":
-            _write_or_print(engine.metrics_table(summary), args.out)
-        else:
-            text = json.dumps(summary.to_dict(), indent=2, sort_keys=True)
-            _write_or_print(text + "\n", args.out)
-        return EXIT_OK
+        doc, table = summary.to_dict(), engine.metrics_table(summary)
 
-    if args.suite == "baseline-compare":
+    elif args.suite == "baseline-compare":
         if not args.scenario:
             print("baseline-compare needs --scenario", file=sys.stderr)
             return EXIT_USAGE
@@ -179,57 +182,50 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             "losses": {name: r.total_loss for name, r in results.items()},
             "improvement_pct": report,
         }
-        if args.format == "table":
-            lines = [f"scenario {scenario.scenario_id}"]
-            for name, loss in doc["losses"].items():
-                lines.append(f"{name}\t{loss:.2f}")
-            for name, pct in report.items():
-                shown = f"{pct:.2f}%" if isinstance(pct, float) else pct
-                lines.append(f"improvement over {name}\t{shown}")
-            _write_or_print("\n".join(lines) + "\n", args.out)
-        else:
-            _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
-        return EXIT_OK
+        lines = [f"scenario {scenario.scenario_id}"]
+        for name, loss in doc["losses"].items():
+            lines.append(f"{name}\t{loss:.2f}")
+        for name, pct in report.items():
+            shown = f"{pct:.2f}%" if isinstance(pct, float) else pct
+            lines.append(f"improvement over {name}\t{shown}")
+        table = "\n".join(lines) + "\n"
 
-    if args.suite == "oracle-gap":
-        try:
-            report = engine.oracle_gap_experiment(args.samples, seed=args.seed)
-        except exact.CapExceededError as exc:
-            print(f"refused: {exc}", file=sys.stderr)
-            return EXIT_CAP
+    else:  # oracle-gap; argparse admits no other suite
+        report = engine.oracle_gap_experiment(args.samples, seed=args.seed)
         doc = {
             "rows": [r.__dict__ for r in report.rows],
             "median_ratio": report.median_ratio,
             "max_ratio": report.max_ratio,
         }
-        if args.format == "table":
-            lines = ["scenario\texact\theuristic\tratio"]
-            for r in report.rows:
-                lines.append(
-                    f"{r.scenario_id}\t{r.exact_loss:.4f}\t{r.heuristic_loss:.4f}\t{r.ratio:.3f}"
-                )
-            lines.append(f"median ratio\t{report.median_ratio:.3f}")
-            lines.append(f"max ratio\t{report.max_ratio:.3f}")
-            _write_or_print("\n".join(lines) + "\n", args.out)
-        else:
-            _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
-        return EXIT_OK
+        lines = ["scenario\texact\theuristic\tratio"]
+        for r in report.rows:
+            lines.append(
+                f"{r.scenario_id}\t{r.exact_loss:.4f}\t{r.heuristic_loss:.4f}\t{r.ratio:.3f}"
+            )
+        lines.append(f"median ratio\t{report.median_ratio:.3f}")
+        lines.append(f"max ratio\t{report.max_ratio:.3f}")
+        table = "\n".join(lines) + "\n"
 
-    print(f"unknown experiment suite {args.suite!r}", file=sys.stderr)
-    return EXIT_USAGE
+    if args.format == "table":
+        _write_or_print(table, args.out)
+    else:
+        _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridflex",
         description="Multi-aggregator demand-side scheduling simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="generate a synthetic scenario")
-    p_gen.add_argument("--devices", type=int, required=True)
-    p_gen.add_argument("--classes", default="L,L,M,M,H", help="comma-separated load classes")
-    p_gen.add_argument("--mobile-fraction", type=float, default=0.5)
+    p_gen.add_argument("--devices", type=_positive_int, required=True)
+    p_gen.add_argument(
+        "--classes", type=_classes, default="L,L,M,M,H", help="comma-separated load classes"
+    )
+    p_gen.add_argument("--mobile-fraction", type=_mobile_fraction, default=0.5)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=_cmd_generate)
@@ -237,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing = sub.add_parser("ingest", help="ingest charging session records")
     p_ing.add_argument("sessions", help="CSV path, or 'bundled' for the packaged replica")
     p_ing.add_argument("--seed", type=int, default=0)
-    p_ing.add_argument("--mobile-fraction", type=float, default=0.5)
+    p_ing.add_argument("--mobile-fraction", type=_mobile_fraction, default=0.5)
     p_ing.add_argument("--out", default=None)
     p_ing.set_defaults(func=_cmd_ingest)
 
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run an experiment suite")
     p_exp.add_argument("suite", choices=["mobility-delta", "baseline-compare", "oracle-gap"])
-    p_exp.add_argument("--counts", default="20,40,60,80,100")
+    p_exp.add_argument("--counts", type=_counts, default="20,40,60,80,100")
     p_exp.add_argument("--samples", type=int, default=10)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--scenario", default=None)
@@ -281,12 +277,24 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    except (json.JSONDecodeError, ScenarioFormatError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, ScenarioFormatError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except workload.GenerationError as exc:
+        print(f"generation failed: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except engine.InvalidScenarioError as exc:
+        print(f"scenario invalid: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except engine.InfeasibleRunError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_VALIDATION
+    except exact.CapExceededError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_CAP
 
 
 if __name__ == "__main__":

@@ -3,16 +3,13 @@
 `run` wraps a scheduler over one scenario, gates the output through the
 independent feasibility validator, and packages a deterministic result
 document. Experiments (mobility delta, baseline comparison, oracle gap)
-fan independent runs over a thread pool capped by `GRIDFLEX_THREADS` and
-merge results in input order, so parallelism never changes output bytes.
+run their items one after another, in input order, on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -42,21 +39,13 @@ class InvalidScenarioError(ValueError):
 
 
 def worker_count() -> int:
-    env = os.environ.get("GRIDFLEX_THREADS")
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    """Always 1: experiments run serially. The benchmark records this name."""
+    return 1
 
 
-def _parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    workers = min(worker_count(), max(len(items), 1))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    """`fn` over `items` in order; the benchmark looks this name up to time each item."""
+    return [fn(item) for item in items]
 
 
 @dataclass
@@ -271,7 +260,6 @@ def sample_grid(
 
 def mobility_delta_experiment(specs: Iterable[workload.GenSpec]) -> ExperimentSummary:
     """loss(mobility on) - loss(mobility off) for the heuristic, per sample."""
-    spec_list = list(specs)
 
     def one(spec: workload.GenSpec) -> tuple[tuple[int, float], float]:
         scenario = workload.generate(spec)
@@ -279,7 +267,7 @@ def mobility_delta_experiment(specs: Iterable[workload.GenSpec]) -> ExperimentSu
         without = run(scenario, "heuristic", mobility=False)
         return (spec.num_devices, spec.mobile_fraction), with_mob.total_loss - without.total_loss
 
-    results = _parallel_map(one, spec_list)
+    results = _parallel_map(one, specs)
     samples: dict[tuple[int, float], list[float]] = {}
     for key, delta in results:
         samples.setdefault(key, []).append(delta)
@@ -305,11 +293,10 @@ def improvement_report(results: dict[str, RunResult]) -> dict[str, str | float]:
     return out
 
 
-def baseline_compare(
-    scenario: Scenario, schedulers: Sequence[str] = ("heuristic", "edf", "hp")
-) -> dict[str, RunResult]:
-    results = _parallel_map(lambda s: run(scenario, s), list(schedulers))
-    return dict(zip(schedulers, results))
+def baseline_compare(scenario: Scenario) -> dict[str, RunResult]:
+    """Every registered scheduler over `scenario`, keyed in registry order."""
+    names = list(baselines.SCHEDULERS)
+    return dict(zip(names, _parallel_map(lambda name: run(scenario, name), names)))
 
 
 def oracle_gap_experiment(count: int, seed: int = 0) -> exact.GapReport:

@@ -130,6 +130,12 @@ def _line_config(num_aggregators: int, horizon_slots: int) -> SystemConfig:
     )
 
 
+def check_mobile_fraction(fraction: float) -> None:
+    """Raise `ValueError` unless `fraction` is in [0, 1]; both builders call this."""
+    if not 0.0 <= fraction <= 1.0:  # NaN fails both comparisons
+        raise ValueError(f"mobile_fraction must be in [0, 1], got {fraction}")
+
+
 @dataclass
 class _DeviceDraft:
     device_index: int
@@ -147,15 +153,20 @@ def generate(spec: GenSpec) -> Scenario:
     Each device repeats periodically (arrival = previous deadline) over
     the horizon; every cluster's total demand lands inside its drawn
     utilization band within 1%. Raises `GenerationError` when a band is
-    unreachable under the mode pool. The grid itself is fixed: a
-    `GEN_HORIZON_SLOTS`-slot horizon of `SLOT_HOURS` slots, one aggregator
-    per load class on a line (`MOVE_COST_KWH_PER_SLOT`) with `BUDGET_KW`
-    each, and periodicities, criticalities and modes from the pools.
+    unreachable under the mode pool, and `ValueError` for fewer than one
+    device, a mobile fraction outside [0, 1] or an unknown load class. The
+    grid itself is fixed: a `GEN_HORIZON_SLOTS`-slot horizon of
+    `SLOT_HOURS` slots, one aggregator per load class on a line
+    (`MOVE_COST_KWH_PER_SLOT`) with `BUDGET_KW` each, and periodicities,
+    criticalities and modes from the pools.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     J = len(spec.class_combo)
     tau = GEN_HORIZON_SLOTS
 
+    if spec.num_devices < 1:
+        raise ValueError(f"num_devices must be at least 1, got {spec.num_devices}")
+    check_mobile_fraction(spec.mobile_fraction)
     for cls in spec.class_combo:
         if cls not in LOAD_CLASSES:
             raise ValueError(f"unknown load class {cls!r}")
@@ -242,19 +253,6 @@ def generate(spec: GenSpec) -> Scenario:
         f"-s{spec.seed}"
     )
     return Scenario(scenario_id, cfg, tuple(sorted(devices, key=lambda d: d.id)))
-
-
-def cluster_utilizations(scenario: Scenario) -> list[float]:
-    """Achieved demand / capacity per cluster, for post-hoc band audits."""
-    cfg = scenario.config
-    capacity = [
-        cfg.budgets_kw[j] * cfg.slot_hours * cfg.horizon_slots
-        for j in range(cfg.num_aggregators)
-    ]
-    totals = [0.0] * cfg.num_aggregators
-    for dev in scenario.devices:
-        totals[dev.home] += dev.demand_kwh
-    return [t / c for t, c in zip(totals, capacity)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +389,10 @@ def ingest_sessions(
     is not checked against the paper. Each device gets the smallest pool
     mode that makes its demand feasible, plus seeded lower modes,
     criticality, and a mobility flag. Returns the scenario and the count
-    of sessions dropped during mapping.
+    of sessions dropped during mapping; raises `ValueError` for a mobile
+    fraction outside [0, 1].
     """
+    check_mobile_fraction(spec.mobile_fraction)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     tau = INGEST_HORIZON_SLOTS
     slot_minutes = SLOT_HOURS * 60.0

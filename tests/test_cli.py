@@ -36,6 +36,14 @@ def micro_file(tmp_path):
     return path
 
 
+def assert_usage_error(argv, capsys, argument):
+    """Exit 1 with one stderr line naming the bad argument."""
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: argument {argument}: " in err
+    assert err.count("\n") == 1
+
+
 class TestGenerate:
     def test_writes_valid_scenario(self, scenario_file):
         scenario = load_scenario(scenario_file)
@@ -54,6 +62,24 @@ class TestGenerate:
              "--seed", "0", "--out", str(tmp_path / "x.json")]
         )
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--devices", "-5"),
+            ("--devices", "0"),
+            ("--devices", "ten"),
+            ("--classes", "X"),
+            ("--classes", "L,,M"),
+            ("--mobile-fraction", "nan"),
+            ("--mobile-fraction", "-0.25"),
+            ("--mobile-fraction", "1.5"),
+            ("--mobile-fraction", "inf"),
+        ],
+    )
+    def test_bad_argument_usage_error(self, option, value, capsys):
+        argv = ["generate", "--devices", "20", option, value]
+        assert_usage_error(argv, capsys, option)
 
 
 class TestRun:
@@ -217,6 +243,28 @@ class TestMalformedInput:
         bad.write_text(json.dumps(doc))
         self.assert_rejected(["run", str(bad)], capsys)
 
+    def test_run_undecodable_bytes(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"scenario_id": "caf\xe9"}')
+        self.assert_rejected(["run", str(bad)], capsys)
+
+    def test_validate_undecodable_result(self, tmp_path, scenario_file, capsys):
+        bad = tmp_path / "result.json"
+        bad.write_bytes(b"\xff\xfe")
+        self.assert_rejected(["validate", str(scenario_file), str(bad)], capsys)
+
+    def test_ingest_undecodable_bytes(self, tmp_path, capsys):
+        bad = tmp_path / "sessions.csv"
+        bad.write_bytes(b"arrival,departure,kwh,station\n\xff\n")
+        self.assert_rejected(["ingest", str(bad)], capsys)
+
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    def test_unreadable_path_usage_error(self, command, tmp_path, capsys):
+        assert main([command, str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot open {tmp_path}: ")
+        assert err.count("\n") == 1
+
     def test_validate_non_integer_action_field(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "result.json"
         assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_OK
@@ -295,6 +343,11 @@ class TestIngest:
         assert main(["ingest", str(csv_path), "--out", str(out)]) == EXIT_OK
         assert len(load_scenario(out).devices) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "-0.5", "2"])
+    def test_bad_mobile_fraction_usage_error(self, value, capsys):
+        argv = ["ingest", "bundled", "--mobile-fraction", value]
+        assert_usage_error(argv, capsys, "--mobile-fraction")
+
 
 class TestExperiments:
     def test_baseline_compare(self, scenario_file, tmp_path):
@@ -309,6 +362,16 @@ class TestExperiments:
 
     def test_baseline_compare_requires_scenario(self):
         assert main(["experiment", "baseline-compare"]) == EXIT_USAGE
+
+    def test_baseline_compare_invalid_scenario(self, scenario_file, tmp_path, capsys):
+        doc = json.loads(scenario_file.read_text())
+        doc["devices"][0]["home"] = 9
+        bad = tmp_path / "bad_home.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["experiment", "baseline-compare", "--scenario", str(bad)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("scenario invalid: ")
+        assert err.count("\n") == 1
 
     def test_oracle_gap(self, tmp_path):
         out = tmp_path / "gap.json"
@@ -329,3 +392,16 @@ class TestExperiments:
         )
         assert code == EXIT_OK
         assert out.read_text().startswith("device_count")
+
+    @pytest.mark.parametrize("counts", ["a,b", "20,-1", "0", "20,,40"])
+    def test_bad_counts_usage_error(self, counts, capsys):
+        argv = ["experiment", "mobility-delta", "--counts", counts, "--samples", "1"]
+        assert_usage_error(argv, capsys, "--counts")
+
+    def test_mobility_delta_generation_failure(self, capsys):
+        # three devices cannot carry the bands of five aggregators
+        argv = ["experiment", "mobility-delta", "--counts", "3", "--samples", "1"]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("generation failed: ")
+        assert err.count("\n") == 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -79,13 +80,6 @@ class TestRun:
         a = run(congested, "heuristic").canonical_json()
         b = run(congested, "heuristic").canonical_json()
         assert a == b
-
-    def test_parallelism_does_not_change_bytes(self, congested, monkeypatch):
-        monkeypatch.setenv("GRIDFLEX_THREADS", "1")
-        serial = run(congested, "heuristic").canonical_json()
-        monkeypatch.setenv("GRIDFLEX_THREADS", "8")
-        parallel = run(congested, "heuristic").canonical_json()
-        assert serial == parallel
 
     def test_canonical_json_has_no_timing(self, congested):
         doc = json.loads(run(congested, "heuristic").canonical_json())
@@ -228,6 +222,31 @@ class TestExperiments:
     def test_baseline_compare_keys(self, congested):
         results = baseline_compare(congested)
         assert set(results) == {"heuristic", "edf", "hp"}
+
+    def test_experiments_run_serially_in_input_order(self, congested, monkeypatch):
+        calls = []
+        real_run = engine.run
+
+        def recording_run(scenario, scheduler="heuristic", mobility=None):
+            calls.append((threading.get_ident(), scenario.scenario_id, scheduler, mobility))
+            return real_run(scenario, scheduler, mobility)
+
+        monkeypatch.setattr(engine, "run", recording_run)
+        here = threading.get_ident()
+
+        assert list(baseline_compare(congested)) == ["heuristic", "edf", "hp"]
+        assert calls == [
+            (here, congested.scenario_id, name, None) for name in ("heuristic", "edf", "hp")
+        ]
+
+        calls.clear()
+        specs = sample_grid([20], samples_per_count=3, seed=1)
+        mobility_delta_experiment(specs)
+        assert calls == [
+            (here, workload.generate(spec).scenario_id, "heuristic", mobility)
+            for spec in specs
+            for mobility in (True, False)
+        ]
 
     def test_group_stats(self):
         stats = GroupStats.from_samples([1.0, 2.0, 3.0, 4.0])

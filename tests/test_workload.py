@@ -1,15 +1,16 @@
 """Generator band targeting, determinism, and session ingestion."""
 
+import math
+
 import pytest
 
-from gridflex.model import scenario_to_dict, validate_config
+from gridflex.model import Scenario, scenario_to_dict, validate_config
 from gridflex.workload import (
     GenSpec,
     GenerationError,
     IngestSpec,
     LOAD_CLASSES,
     SessionRecord,
-    cluster_utilizations,
     generate,
     ingest_sessions,
     micro_instances,
@@ -17,6 +18,19 @@ from gridflex.workload import (
 )
 
 from datetime import datetime
+
+
+def cluster_utilizations(scenario: Scenario) -> list[float]:
+    """Achieved demand / capacity per cluster, for post-hoc band audits."""
+    cfg = scenario.config
+    capacity = [
+        cfg.budgets_kw[j] * cfg.slot_hours * cfg.horizon_slots
+        for j in range(cfg.num_aggregators)
+    ]
+    totals = [0.0] * cfg.num_aggregators
+    for dev in scenario.devices:
+        totals[dev.home] += dev.demand_kwh
+    return [t / c for t, c in zip(totals, capacity)]
 
 
 class TestGenerate:
@@ -91,6 +105,18 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(GenSpec(num_devices=5, class_combo=("X",), seed=0))
 
+    @pytest.mark.parametrize("num_devices", [0, -5])
+    def test_device_count_below_one_rejected(self, num_devices):
+        # -5 used to fail inside numpy with "negative dimensions"
+        with pytest.raises(ValueError, match="num_devices"):
+            generate(GenSpec(num_devices=num_devices))
+
+    @pytest.mark.parametrize("fraction", [-0.25, -0.5, 1.01, math.nan, math.inf])
+    def test_mobile_fraction_outside_unit_interval_rejected(self, fraction):
+        # -0.25 used to make 30 of 40 devices mobile through a negative slice
+        with pytest.raises(ValueError, match="mobile_fraction"):
+            generate(GenSpec(num_devices=40, mobile_fraction=fraction))
+
     def test_cluster_demand_equals_band_times_capacity(self):
         # 80% of a 100 kW x 0.5 h x 50-slot cluster is 2000 kWh
         spec = GenSpec(num_devices=50, class_combo=("L",), seed=5)
@@ -159,6 +185,13 @@ class TestIngestSessions:
         # 12-hour stay runs past midnight; deadline clips to the last slot
         assert dev.deadline_slot == 47
         assert dev.demand_kwh == pytest.approx(20.0)
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5, math.nan])
+    def test_mobile_fraction_outside_unit_interval_rejected(self, fraction):
+        # NaN used to make every device stationary
+        records, _ = parse_sessions(SESSIONS_CSV)
+        with pytest.raises(ValueError, match="mobile_fraction"):
+            ingest_sessions(records, IngestSpec(mobile_fraction=fraction))
 
     def test_empty_records_empty_scenario(self):
         scenario, dropped = ingest_sessions([], IngestSpec())
