@@ -3,9 +3,9 @@
 Subcommands: generate, ingest, run, validate, solve-exact, and the
 experiment suites. Exit codes: 0 success, 1 usage error (bad argument
 or unreadable file), 2 validation or generation failure, or a malformed
-or undecodable input document, 3 exact-solver cap exceeded. Each error
-is one stderr line. Table output is always rendered from the same
-structured document that json output serializes.
+or undecodable input document, 3 exact-solver cap exceeded. Table output
+is always rendered from the same structured document that json output
+serializes.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run an experiment suite")
     p_exp.add_argument("suite", choices=["mobility-delta", "baseline-compare", "oracle-gap"])
     p_exp.add_argument("--counts", type=_counts, default="20,40,60,80,100")
-    p_exp.add_argument("--samples", type=int, default=10)
+    p_exp.add_argument("--samples", type=_positive_int, default=10)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--scenario", default=None)
     p_exp.add_argument("--format", choices=["json", "table"], default="json")

@@ -393,10 +393,21 @@ class TestExperiments:
         assert code == EXIT_OK
         assert out.read_text().startswith("device_count")
 
-    @pytest.mark.parametrize("counts", ["a,b", "20,-1", "0", "20,,40"])
-    def test_bad_counts_usage_error(self, counts, capsys):
-        argv = ["experiment", "mobility-delta", "--counts", counts, "--samples", "1"]
-        assert_usage_error(argv, capsys, "--counts")
+    @pytest.mark.parametrize(
+        "suite, option, value",
+        [
+            ("mobility-delta", "--counts", "a,b"),
+            ("mobility-delta", "--counts", "20,-1"),
+            ("mobility-delta", "--counts", "0"),
+            ("mobility-delta", "--counts", "20,,40"),
+            ("mobility-delta", "--samples", "-2"),
+            # zero samples used to print a NaN median and max ratio
+            ("oracle-gap", "--samples", "0"),
+        ],
+    )
+    def test_bad_argument_usage_error(self, suite, option, value, capsys):
+        argv = ["experiment", suite, "--counts", "20", "--samples", "1", option, value]
+        assert_usage_error(argv, capsys, option)
 
     def test_mobility_delta_generation_failure(self, capsys):
         # three devices cannot carry the bands of five aggregators
