@@ -4,25 +4,20 @@ Subcommands: generate, ingest, run, validate, solve-exact, and the
 experiment suites. Exit codes: 0 success, 1 usage error (bad argument
 or unreadable file), 2 validation or generation failure, or a malformed
 or undecodable input document, 3 exact-solver cap exceeded. Table output
-is always rendered from the same structured document that json output
-serializes.
+is rendered from the same result objects that JSON output serializes,
+and all JSON goes through one compact, strict writer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import engine, exact, workload
-from .model import (
-    ScenarioFormatError,
-    encode_action,
-    load_scenario,
-    scenario_to_dict,
-    validate_config,
-)
+from .model import ScenarioFormatError, load_scenario, scenario_to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,6 +34,12 @@ class _Parser(argparse.ArgumentParser):
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
     return int(text)
 
 
@@ -69,7 +70,13 @@ def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(text, end="")
+
+
+def _write_json(doc: dict, out: str | None) -> None:
+    # compact: with `indent` set the json module drops to its pure-Python
+    # encoder; strict: NaN and Infinity are not JSON
+    _write_or_print(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -80,7 +87,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     scenario = workload.generate(spec)
-    _write_or_print(json.dumps(scenario_to_dict(scenario), sort_keys=True), args.out)
+    _write_json(scenario_to_dict(scenario), args.out)
     return EXIT_OK
 
 
@@ -92,9 +99,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         records, skipped = workload.load_sessions(args.sessions)
     spec = workload.IngestSpec(seed=args.seed, mobile_fraction=args.mobile_fraction)
     scenario, dropped = workload.ingest_sessions(records, spec)
+    # noted after the write, so a failed write is the call's only stderr line
+    _write_json(scenario_to_dict(scenario), args.out)
     if skipped or dropped:
         print(f"skipped {skipped} records, dropped {dropped} sessions", file=sys.stderr)
-    _write_or_print(json.dumps(scenario_to_dict(scenario), sort_keys=True), args.out)
     return EXIT_OK
 
 
@@ -105,22 +113,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.format == "table":
         _write_or_print(_render_run_table(result), args.out)
     else:
-        # compact: with `indent` set the json module drops to its pure-Python encoder
-        text = json.dumps(result.to_dict(), sort_keys=True)
-        _write_or_print(text + "\n", args.out)
+        _write_json(result.to_dict(), args.out)
     return EXIT_OK
 
 
 def _render_run_table(result: engine.RunResult) -> str:
-    doc = result.to_dict()
     lines = [
-        f"scenario   {doc['scenario_id']}",
-        f"scheduler  {doc['scheduler']} (mobility={'on' if doc['mobility_enabled'] else 'off'})",
-        f"total loss {doc['total_loss']:.4f}",
+        f"scenario   {result.scenario_id}",
+        f"scheduler  {result.scheduler} (mobility={'on' if result.mobility_enabled else 'off'})",
+        f"total loss {result.total_loss:.4f}",
         "",
         "device\tloss\tprogress_kwh\tcompleted",
     ]
-    for dev_id, row in doc["per_device"].items():
+    for dev_id in sorted(result.per_device):
+        row = result.per_device[dev_id]
         lines.append(
             f"{dev_id}\t{row['loss_total']:.4f}\t{row['progress_kwh']:.2f}"
             f"\t{'yes' if row['completed'] else 'no'}"
@@ -130,38 +136,31 @@ def _render_run_table(result: engine.RunResult) -> str:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
+    engine.check_scenario(scenario)
     doc = json.loads(Path(args.result).read_text())
     decisions = engine.decisions_from_dict(doc)
-    try:
-        report = exact.validate_schedule(decisions, scenario.config, list(scenario.devices))
-    except exact.ScheduleFormatError as exc:
-        print(f"malformed schedule: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    report = exact.validate_schedule(decisions, scenario.config, list(scenario.devices))
     print(report.summary())
     return EXIT_OK if report.all_pass else EXIT_VALIDATION
 
 
 def _cmd_solve_exact(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    violations = validate_config(scenario.config, scenario.devices)
-    if violations:
-        for v in violations:
-            print(str(v), file=sys.stderr)
-        return EXIT_VALIDATION
+    engine.check_scenario(scenario)
     instance = exact.ExactInstance(scenario, exact.ExactCaps(node_budget=args.node_budget))
     result = exact.solve_exact(instance)
     doc = {
         "scenario_id": scenario.scenario_id,
         "optimal_loss": result.loss,
         "nodes": result.nodes,
-        "decisions": {
-            dev_id: [encode_action(a) for a in row]
-            for dev_id, row in sorted(result.decisions.items())
-        },
+        "decisions": engine.encode_decisions(result.decisions),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    _write_or_print(text + "\n", args.out)
+    _write_json(doc, args.out)
     return EXIT_OK
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -193,9 +192,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     else:  # oracle-gap; argparse admits no other suite
         report = engine.oracle_gap_experiment(args.samples, seed=args.seed)
         doc = {
-            "rows": [r.__dict__ for r in report.rows],
-            "median_ratio": report.median_ratio,
-            "max_ratio": report.max_ratio,
+            # an infinite ratio (exact loss 0, heuristic's not) is written as null
+            "rows": [{**r.__dict__, "ratio": _finite_or_none(r.ratio)} for r in report.rows],
+            "median_ratio": _finite_or_none(report.median_ratio),
+            "max_ratio": _finite_or_none(report.max_ratio),
         }
         lines = ["scenario\texact\theuristic\tratio"]
         for r in report.rows:
@@ -209,7 +209,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.format == "table":
         _write_or_print(table, args.out)
     else:
-        _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _write_json(doc, args.out)
     return EXIT_OK
 
 
@@ -226,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--classes", type=_classes, default="L,L,M,M,H", help="comma-separated load classes"
     )
     p_gen.add_argument("--mobile-fraction", type=_mobile_fraction, default=0.5)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=_cmd_generate)
 
     p_ing = sub.add_parser("ingest", help="ingest charging session records")
     p_ing.add_argument("sessions", help="CSV path, or 'bundled' for the packaged replica")
-    p_ing.add_argument("--seed", type=int, default=0)
+    p_ing.add_argument("--seed", type=_seed, default=0)
     p_ing.add_argument("--mobile-fraction", type=_mobile_fraction, default=0.5)
     p_ing.add_argument("--out", default=None)
     p_ing.set_defaults(func=_cmd_ingest)
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("solve-exact", help="exact optimum for a micro scenario")
     p_exact.add_argument("scenario")
-    p_exact.add_argument("--node-budget", type=int, default=10**8)
+    p_exact.add_argument("--node-budget", type=_positive_int, default=10**8)
     p_exact.add_argument("--out", default=None)
     p_exact.set_defaults(func=_cmd_solve_exact)
 
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("suite", choices=["mobility-delta", "baseline-compare", "oracle-gap"])
     p_exp.add_argument("--counts", type=_counts, default="20,40,60,80,100")
     p_exp.add_argument("--samples", type=_positive_int, default=10)
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--seed", type=_seed, default=0)
     p_exp.add_argument("--scenario", default=None)
     p_exp.add_argument("--format", choices=["json", "table"], default="json")
     p_exp.add_argument("--out", default=None)
@@ -285,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except workload.GenerationError as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except exact.ScheduleFormatError as exc:
+        print(f"malformed schedule: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except engine.InvalidScenarioError as exc:
         print(f"scenario invalid: {exc}", file=sys.stderr)

@@ -67,12 +67,7 @@ class RunResult:
             "mobility_enabled": self.mobility_enabled,
             "total_loss": self.total_loss,
             "per_device": {k: self.per_device[k] for k in sorted(self.per_device)},
-            "decisions": {
-                # the IDLE singleton fills most of a row; any other action,
-                # another Idle instance included, goes through encode_action
-                k: ["I" if a is IDLE else encode_action(a) for a in self.decisions[k]]
-                for k in sorted(self.decisions)
-            },
+            "decisions": encode_decisions(self.decisions),
             "utilization_kw": self.utilization_kw,
         }
         if include_timing:
@@ -84,6 +79,16 @@ class RunResult:
         return json.dumps(self.to_dict(include_timing=False), sort_keys=True)
 
 
+def encode_decisions(decisions: dict[str, list[Action]]) -> dict[str, list[str]]:
+    """Every row of a decision matrix in its string form, sorted by device id."""
+    return {
+        # the IDLE singleton fills most of a row; any other action,
+        # another Idle instance included, goes through encode_action
+        k: ["I" if a is IDLE else encode_action(a) for a in decisions[k]]
+        for k in sorted(decisions)
+    }
+
+
 def decisions_from_dict(doc: dict) -> dict[str, list[Action]]:
     try:
         return {
@@ -92,6 +97,16 @@ def decisions_from_dict(doc: dict) -> dict[str, list[Action]]:
         }
     except (KeyError, TypeError, AttributeError) as exc:
         raise ScenarioFormatError(f"bad result document: {exc!r}") from exc
+
+
+def check_scenario(scenario: Scenario) -> None:
+    """Raise `InvalidScenarioError` naming the first five model violations, if any."""
+    violations = validate_config(scenario.config, scenario.devices)
+    if violations:
+        raise InvalidScenarioError(
+            "; ".join(str(v) for v in violations[:5])
+            + (f" (+{len(violations) - 5} more)" if len(violations) > 5 else "")
+        )
 
 
 def run(
@@ -107,12 +122,7 @@ def run(
     fails any feasibility constraint (the engine cannot emit infeasible
     results).
     """
-    violations = validate_config(scenario.config, scenario.devices)
-    if violations:
-        raise InvalidScenarioError(
-            "; ".join(str(v) for v in violations[:5])
-            + (f" (+{len(violations) - 5} more)" if len(violations) > 5 else "")
-        )
+    check_scenario(scenario)
     spec = baselines.get_scheduler(scheduler)
     mobility_enabled = spec.mobility_default if mobility is None else mobility
 

@@ -36,6 +36,28 @@ def micro_file(tmp_path):
     return path
 
 
+def write_mutated(source, tmp_path, mutate):
+    """A copy of the scenario at `source` with `mutate` applied to its document."""
+    doc = json.loads(source.read_text())
+    mutate(doc)
+    path = tmp_path / f"{mutate.__name__.lstrip('_')}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _no_budgets(doc):
+    doc["config"]["budgets_kw"] = []
+
+
+def _every_home_nine(doc):
+    for dev in doc["devices"]:
+        dev["home"] = 9
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 def assert_usage_error(argv, capsys, argument):
     """Exit 1 with one stderr line naming the bad argument."""
     assert main(argv) == EXIT_USAGE
@@ -75,6 +97,7 @@ class TestGenerate:
             ("--mobile-fraction", "-0.25"),
             ("--mobile-fraction", "1.5"),
             ("--mobile-fraction", "inf"),
+            ("--seed", "-1"),
         ],
     )
     def test_bad_argument_usage_error(self, option, value, capsys):
@@ -106,6 +129,22 @@ class TestRun:
         out = capsys.readouterr().out
         assert "total loss" in out
 
+    def test_table_text_unchanged(self, tmp_path, capsys):
+        # pinned text: the table reads the RunResult, not its JSON document
+        path = tmp_path / "micro.json"
+        save_scenario(workload.micro_instances(1, seed=9)[0], path)
+        assert main(["run", str(path), "--format", "table"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "scenario   micro-s9-0\n"
+            "scheduler  heuristic (mobility=on)\n"
+            "total loss 97.5487\n"
+            "\n"
+            "device\tloss\tprogress_kwh\tcompleted\n"
+            "m0\t0.0000\t5.64\tyes\n"
+            "m1\t5.8077\t0.00\tno\n"
+            "m2\t91.7411\t0.00\tno\n"
+        )
+
     def test_unknown_scheduler_usage_error(self, scenario_file):
         assert main(["run", str(scenario_file), "--scheduler", "fifo"]) == EXIT_USAGE
 
@@ -127,6 +166,30 @@ class TestValidateCommand:
         doc["decisions"][dev_id][0] = "S:1:99"
         out.write_text(json.dumps(doc))
         assert main(["validate", str(scenario_file), str(out)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "mutate", [_no_budgets, _every_home_nine], ids=lambda f: f.__name__.lstrip("_")
+    )
+    def test_invalid_scenario_one_line(self, mutate, scenario_file, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_OK
+        bad = write_mutated(scenario_file, tmp_path, mutate)
+        assert main(["validate", str(bad), str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scenario invalid: ")
+        assert captured.err.count("\n") == 1
+
+    def test_malformed_schedule_one_line(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        del doc["decisions"][sorted(doc["decisions"])[0]]
+        out.write_text(json.dumps(doc))
+        assert main(["validate", str(scenario_file), str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("malformed schedule: ")
+        assert err.count("\n") == 1
 
 
 class TestMalformedInput:
@@ -314,14 +377,29 @@ class TestSolveExact:
         out = tmp_path / "exact.json"
         code = main(["solve-exact", str(micro_file), "--out", str(out)])
         assert code == EXIT_OK
-        doc = json.loads(out.read_text())
-        assert "optimal_loss" in doc
+        text = out.read_text()
+        assert text.count("\n") == 1  # compact
+        assert "optimal_loss" in json.loads(text)
 
     def test_cap_exceeded_exit_code(self, micro_file):
         assert main(["solve-exact", str(micro_file), "--node-budget", "1"]) == EXIT_CAP
 
     def test_refuses_large_scenario(self, scenario_file):
         assert main(["solve-exact", str(scenario_file)]) == EXIT_CAP
+
+    def test_invalid_scenario_one_line(self, scenario_file, tmp_path, capsys):
+        # every device of twenty breaks the same rule: one line, not one per violation
+        bad = write_mutated(scenario_file, tmp_path, _every_home_nine)
+        assert main(["solve-exact", str(bad)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("scenario invalid: ")
+        assert "more)" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_node_budget_usage_error(self, value, micro_file, capsys):
+        argv = ["solve-exact", str(micro_file), "--node-budget", value]
+        assert_usage_error(argv, capsys, "--node-budget")
 
 
 class TestIngest:
@@ -347,6 +425,22 @@ class TestIngest:
     def test_bad_mobile_fraction_usage_error(self, value, capsys):
         argv = ["ingest", "bundled", "--mobile-fraction", value]
         assert_usage_error(argv, capsys, "--mobile-fraction")
+
+    def test_negative_seed_usage_error(self, capsys):
+        assert_usage_error(["ingest", "bundled", "--seed", "-1"], capsys, "--seed")
+
+    def test_failed_write_one_line(self, tmp_path, capsys):
+        # the skipped-records note must not precede the write's failure
+        csv_path = tmp_path / "sessions.csv"
+        csv_path.write_text(
+            "arrival,departure,kwh,station\n"
+            "2020-05-04T09:00:00,2020-05-04T17:00:00,10.0,ST-01\n"
+            "not a date,2020-05-04T17:00:00,10.0,ST-02\n"
+        )
+        assert main(["ingest", str(csv_path), "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot open {tmp_path}: ")
+        assert err.count("\n") == 1
 
 
 class TestExperiments:
@@ -384,6 +478,18 @@ class TestExperiments:
         assert len(doc["rows"]) == 5
         assert doc["median_ratio"] >= 1.0 - 1e-9
 
+    def test_oracle_gap_infinite_ratio_is_null(self, capsys):
+        # seed 14's first micro-instance has exact loss 0 and a positive heuristic loss
+        argv = ["experiment", "oracle-gap", "--samples", "1", "--seed", "14"]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert doc["rows"][0]["ratio"] is None
+        assert doc["rows"][0]["exact_loss"] == 0.0
+        assert doc["median_ratio"] is None
+        assert doc["max_ratio"] is None
+        assert main(argv + ["--format", "table"]) == EXIT_OK
+        assert "\tinf\n" in capsys.readouterr().out
+
     def test_mobility_delta_table(self, tmp_path):
         out = tmp_path / "delta.tsv"
         code = main(
@@ -401,6 +507,8 @@ class TestExperiments:
             ("mobility-delta", "--counts", "0"),
             ("mobility-delta", "--counts", "20,,40"),
             ("mobility-delta", "--samples", "-2"),
+            ("mobility-delta", "--seed", "-1"),
+            ("oracle-gap", "--seed", "-1"),
             # zero samples used to print a NaN median and max ratio
             ("oracle-gap", "--samples", "0"),
         ],
