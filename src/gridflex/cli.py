@@ -163,49 +163,50 @@ def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _mobility_delta(args: argparse.Namespace) -> tuple[dict, str]:
+    specs = engine.sample_grid(args.counts, args.samples, seed=args.seed)
+    summary = engine.mobility_delta_experiment(specs)
+    return summary.to_dict(), engine.metrics_table(summary)
+
+
+def _baseline_compare(args: argparse.Namespace) -> tuple[dict, str]:
+    scenario = load_scenario(args.scenario)
+    results = engine.baseline_compare(scenario)
+    report = engine.improvement_report(results)
+    doc = {
+        "scenario_id": scenario.scenario_id,
+        "losses": {name: r.total_loss for name, r in results.items()},
+        "improvement_pct": report,
+    }
+    lines = [f"scenario {scenario.scenario_id}"]
+    for name, loss in doc["losses"].items():
+        lines.append(f"{name}\t{loss:.2f}")
+    for name, pct in report.items():
+        shown = f"{pct:.2f}%" if isinstance(pct, float) else pct
+        lines.append(f"improvement over {name}\t{shown}")
+    return doc, "\n".join(lines) + "\n"
+
+
+def _oracle_gap(args: argparse.Namespace) -> tuple[dict, str]:
+    report = engine.oracle_gap_experiment(args.samples, seed=args.seed)
+    doc = {
+        # an infinite ratio (exact loss 0, heuristic's not) is written as null
+        "rows": [{**r.__dict__, "ratio": _finite_or_none(r.ratio)} for r in report.rows],
+        "median_ratio": _finite_or_none(report.median_ratio),
+        "max_ratio": _finite_or_none(report.max_ratio),
+    }
+    lines = ["scenario\texact\theuristic\tratio"]
+    for r in report.rows:
+        lines.append(
+            f"{r.scenario_id}\t{r.exact_loss:.4f}\t{r.heuristic_loss:.4f}\t{r.ratio:.3f}"
+        )
+    lines.append(f"median ratio\t{report.median_ratio:.3f}")
+    lines.append(f"max ratio\t{report.max_ratio:.3f}")
+    return doc, "\n".join(lines) + "\n"
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.suite == "mobility-delta":
-        specs = engine.sample_grid(args.counts, args.samples, seed=args.seed)
-        summary = engine.mobility_delta_experiment(specs)
-        doc, table = summary.to_dict(), engine.metrics_table(summary)
-
-    elif args.suite == "baseline-compare":
-        if not args.scenario:
-            print("baseline-compare needs --scenario", file=sys.stderr)
-            return EXIT_USAGE
-        scenario = load_scenario(args.scenario)
-        results = engine.baseline_compare(scenario)
-        report = engine.improvement_report(results)
-        doc = {
-            "scenario_id": scenario.scenario_id,
-            "losses": {name: r.total_loss for name, r in results.items()},
-            "improvement_pct": report,
-        }
-        lines = [f"scenario {scenario.scenario_id}"]
-        for name, loss in doc["losses"].items():
-            lines.append(f"{name}\t{loss:.2f}")
-        for name, pct in report.items():
-            shown = f"{pct:.2f}%" if isinstance(pct, float) else pct
-            lines.append(f"improvement over {name}\t{shown}")
-        table = "\n".join(lines) + "\n"
-
-    else:  # oracle-gap; argparse admits no other suite
-        report = engine.oracle_gap_experiment(args.samples, seed=args.seed)
-        doc = {
-            # an infinite ratio (exact loss 0, heuristic's not) is written as null
-            "rows": [{**r.__dict__, "ratio": _finite_or_none(r.ratio)} for r in report.rows],
-            "median_ratio": _finite_or_none(report.median_ratio),
-            "max_ratio": _finite_or_none(report.max_ratio),
-        }
-        lines = ["scenario\texact\theuristic\tratio"]
-        for r in report.rows:
-            lines.append(
-                f"{r.scenario_id}\t{r.exact_loss:.4f}\t{r.heuristic_loss:.4f}\t{r.ratio:.3f}"
-            )
-        lines.append(f"median ratio\t{report.median_ratio:.3f}")
-        lines.append(f"max ratio\t{report.max_ratio:.3f}")
-        table = "\n".join(lines) + "\n"
-
+    doc, table = args.suite(args)
     if args.format == "table":
         _write_or_print(table, args.out)
     else:
@@ -257,14 +258,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.set_defaults(func=_cmd_solve_exact)
 
     p_exp = sub.add_parser("experiment", help="run an experiment suite")
-    p_exp.add_argument("suite", choices=["mobility-delta", "baseline-compare", "oracle-gap"])
-    p_exp.add_argument("--counts", type=_counts, default="20,40,60,80,100")
-    p_exp.add_argument("--samples", type=_positive_int, default=10)
-    p_exp.add_argument("--seed", type=_seed, default=0)
-    p_exp.add_argument("--scenario", default=None)
-    p_exp.add_argument("--format", choices=["json", "table"], default="json")
-    p_exp.add_argument("--out", default=None)
-    p_exp.set_defaults(func=_cmd_experiment)
+    suites = p_exp.add_subparsers(metavar="suite", required=True)
+    # each suite takes only the flags it reads, so a foreign one is a usage error
+    p_delta = suites.add_parser("mobility-delta", help="loss with and without mobility")
+    p_delta.add_argument("--counts", type=_counts, default="20,40,60,80,100")
+    p_delta.add_argument("--samples", type=_positive_int, default=10)
+    p_delta.add_argument("--seed", type=_seed, default=0)
+    p_cmp = suites.add_parser("baseline-compare", help="heuristic against EDF and HP")
+    p_cmp.add_argument("--scenario", required=True)
+    p_gap = suites.add_parser("oracle-gap", help="heuristic against the exact optimum")
+    p_gap.add_argument("--samples", type=_positive_int, default=10)
+    p_gap.add_argument("--seed", type=_seed, default=0)
+    for p_suite, suite in (
+        (p_delta, _mobility_delta), (p_cmp, _baseline_compare), (p_gap, _oracle_gap)
+    ):
+        p_suite.add_argument("--format", choices=["json", "table"], default="json")
+        p_suite.add_argument("--out", default=None)
+        p_suite.set_defaults(func=_cmd_experiment, suite=suite)
 
     return parser
 

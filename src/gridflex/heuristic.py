@@ -22,11 +22,9 @@ from .model import (
     EPS,
     Action,
     AggregatorState,
-    AtCluster,
     DeviceRequest,
     DeviceState,
     IDLE,
-    InTransit,
     Move,
     MovementMatrix,
     Scenario,
@@ -161,12 +159,10 @@ def mobility_decision(
     staying exceeds its cost.
 
     `run_horizon` calls this only for the devices it can move (mobile,
-    unserved, with a deficit, at a cluster and past the deadline); the
-    checks here stay so the function answers alone for any device.
+    unserved, with a deficit and past the deadline); the checks here stay
+    so the function answers alone for any device at `dev.aggregator`.
     """
     if not dev.request.mobile:
-        return None
-    if not isinstance(dev.location, AtCluster):
         return None
     stay_loss = utility.deadline_loss(
         dev.progress_kwh,
@@ -178,7 +174,7 @@ def mobility_decision(
     )
     if stay_loss <= 0.0:
         return None
-    here = dev.location.aggregator
+    here = dev.aggregator
 
     best: tuple[float, int] | None = None
     for agg in aggregators:
@@ -229,35 +225,36 @@ def run_horizon(
     unserved devices weigh a move against the residual capacity left.
 
     Purely online: slot-t decisions see only devices with arrival <= t.
-    Movement departs in the deciding slot (that slot's action becomes the
-    first transit slot) and the device is schedulable at the target after
-    the edge's delay. Once the last slot is done, each device's finished
-    row is scored by `utility.row_loss`.
+    Movement departs in the deciding slot: the whole transit, that slot
+    and each one after it until the edge's delay is spent, is written into
+    the device's row at once, and the device re-arrives at the target in
+    its landing slot exactly as a new arrival joins. Once the last slot
+    is done, each device's finished row is scored by `utility.row_loss`.
 
     Each slot visits only the live set, kept in device-id order: devices
-    that have arrived and can still cost something. Arrivals join it at
-    their arrival slot. After the aggregator phase, one pass over the
-    live set makes the device phase and builds the next live set. Only an
-    unserved mobile device past its deadline, at a cluster and with a
+    that are at a cluster and can still cost something. Arrivals and
+    landings join it in their slot. After the aggregator phase, one pass
+    over the live set makes the device phase and builds the next live
+    set. Only an unserved mobile device past its deadline and with a
     deficit is offered to `mobility_decision`: for any other device
     staying costs nothing, so it would stay. Every device's choice reads
     only the residuals the aggregator phase left and its own state, so
-    the order of the pass changes nothing. A device leaves the live set
-    for good once it sits at a cluster, is `completed`, and has progress
-    >= `demand_kwh`: from then on its action is Idle and its slot loss is
-    exactly 0, so its row is already final. Work per slot is therefore
-    proportional to live devices, not to every request that has arrived.
+    the order of the pass changes nothing. A departing device leaves the
+    live set until it lands. A device leaves it for good once it is
+    `completed` and has progress >= `demand_kwh`: from then on its action
+    is Idle and its slot loss is exactly 0, so its row is already final.
+    Work per slot is therefore proportional to live devices, not to every
+    request that has arrived.
     """
     tau = cfg.horizon_slots
     ordered = sorted(devices, key=lambda d: d.id)
-    states = {
-        d.id: DeviceState(request=d, location=AtCluster(d.home)) for d in ordered
-    }
+    states = {d.id: DeviceState(request=d, aggregator=d.home) for d in ordered}
     aggs = [AggregatorState(index=j, budget_kw=cfg.budget(j)) for j in range(cfg.num_aggregators)]
     decisions: dict[str, list[Action]] = {d.id: [IDLE] * tau for d in ordered}
     committed: list[list[float]] = []
     slot_wall: list[float] = []
 
+    # first arrivals in id order; a transit's landing is appended later
     arrivals: list[list[DeviceState]] = [[] for _ in range(tau)]
     for d in ordered:
         if d.arrival_slot < tau:
@@ -268,20 +265,14 @@ def run_horizon(
         t0 = time.perf_counter()
 
         if arrivals[t]:
-            # two sorted runs: the sort merges them in linear time
+            # a few sorted runs (landings follow the first arrivals): the
+            # sort merges them and keeps every cluster in id order
             live.extend(arrivals[t])
             live.sort(key=_BY_ID)
 
-        # clusters in id order; transits land here or spend the slot moving
         clusters: list[list[DeviceState]] = [[] for _ in aggs]
         for st in live:
-            loc = st.location
-            if isinstance(loc, InTransit):
-                if loc.arrival_slot != t:
-                    decisions[st.request.id][t] = Move(loc.origin, loc.target)
-                    continue
-                loc = st.location = AtCluster(loc.target)
-            clusters[loc.aggregator].append(st)
+            clusters[st.aggregator].append(st)
 
         # aggregator phase: independent per cluster
         for agg, cluster in zip(aggs, clusters):
@@ -297,28 +288,31 @@ def run_horizon(
         # this slot, and devices whose rows are final leave the live set
         next_live: list[DeviceState] = []
         for st in live:
-            if isinstance(st.location, AtCluster):
-                req = st.request
-                # the deficit against `target_kwh`, as `completed` reads it
-                if st.target_kwh - st.progress_kwh <= EPS:
-                    # retired only with progress >= demand as well: `completed`
-                    # allows an EPS shortfall that the deadline term still charges
-                    if req.demand_kwh - st.progress_kwh <= 0.0:
-                        continue
-                # unserved means the slot still holds the IDLE row fill
-                elif (
-                    mobility_enabled
-                    and req.mobile
-                    and t > req.deadline_slot
-                    and decisions[req.id][t] is IDLE
-                ):
-                    move = mobility_decision(st, aggs, cfg.movement, t, tau, cfg.beta_max)
-                    if move is not None:
-                        opt = cfg.movement.option(move.origin, move.target)
-                        decisions[req.id][t] = move
-                        st.location = InTransit(move.origin, move.target, t + opt.delay_slots)
-                        st.extra_demand_kwh += opt.delay_slots * opt.cost_kwh_per_slot
-                        st.target_kwh = req.demand_kwh + st.extra_demand_kwh
+            req = st.request
+            # the deficit against `target_kwh`, as `completed` reads it
+            if st.target_kwh - st.progress_kwh <= EPS:
+                # retired only with progress >= demand as well: `completed`
+                # allows an EPS shortfall that the deadline term still charges
+                if req.demand_kwh - st.progress_kwh <= 0.0:
+                    continue
+            # unserved means the slot still holds the IDLE row fill
+            elif (
+                mobility_enabled
+                and req.mobile
+                and t > req.deadline_slot
+                and decisions[req.id][t] is IDLE
+            ):
+                move = mobility_decision(st, aggs, cfg.movement, t, tau, cfg.beta_max)
+                if move is not None:
+                    # the transit lands by slot tau - 1: mobility_decision
+                    # offers no later one
+                    delay = cfg.movement.option(move.origin, move.target).delay_slots
+                    decisions[req.id][t : t + delay] = [move] * delay
+                    st.aggregator = move.target
+                    arrivals[t + delay].append(st)
+                    st.extra_demand_kwh += cfg.movement.total_cost(move.origin, move.target)
+                    st.target_kwh = req.demand_kwh + st.extra_demand_kwh
+                    continue
             next_live.append(st)
         live = next_live
 

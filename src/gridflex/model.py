@@ -293,26 +293,12 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AtCluster:
-    aggregator: int
-
-
-@dataclass(frozen=True)
-class InTransit:
-    origin: int
-    target: int
-    arrival_slot: int
-
-
-Location = Union[AtCluster, InTransit]
-
-
 @dataclass(slots=True)
 class DeviceState:
     """Mutable runtime state of one device during a horizon run.
 
-    `extra_demand_kwh` is the movement energy the grid must re-supply on
+    `aggregator` is the cluster the device is at or, while a transit is
+    under way, the cluster the transit lands at. `extra_demand_kwh` is the movement energy the grid must re-supply on
     top of the demanded energy; it is committed in full when a move
     starts. `target_kwh` is the total energy the device still intends to
     draw over the horizon, `request.demand_kwh + extra_demand_kwh`: it is
@@ -325,7 +311,7 @@ class DeviceState:
     """
 
     request: DeviceRequest
-    location: Location
+    aggregator: int
     progress_kwh: float = 0.0
     extra_demand_kwh: float = 0.0
     target_kwh: float = field(init=False)

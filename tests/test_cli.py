@@ -429,6 +429,37 @@ class TestIngest:
     def test_negative_seed_usage_error(self, capsys):
         assert_usage_error(["ingest", "bundled", "--seed", "-1"], capsys, "--seed")
 
+    def test_scenario_document_rejected(self, scenario_file, capsys):
+        # a scenario JSON has no session header: rejected, not a 0-device scenario
+        assert main(["ingest", str(scenario_file)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("malformed input: session header lacks column(s): ")
+        assert captured.err.count("\n") == 1
+
+    def test_headerless_csv_rejected(self, tmp_path, capsys):
+        csv_path = tmp_path / "ab.csv"
+        csv_path.write_text("a,b\n1,2\n")
+        assert main(["ingest", str(csv_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == (
+            "malformed input: session header lacks column(s): "
+            "arrival, departure, kwh, station\n"
+        )
+
+    def test_short_row_skipped(self, tmp_path, capsys):
+        # a row without its kwh and station fields is skipped, not a traceback
+        csv_path = tmp_path / "short.csv"
+        csv_path.write_text(
+            "arrival,departure,kwh,station\n"
+            "2020-05-04T09:00:00,2020-05-04T17:00:00\n"
+            "2020-05-04T09:00:00,2020-05-04T17:00:00,10.0,ST-01\n"
+        )
+        out = tmp_path / "sc.json"
+        assert main(["ingest", str(csv_path), "--out", str(out)]) == EXIT_OK
+        assert len(load_scenario(out).devices) == 1
+        assert capsys.readouterr().err == "skipped 1 records, dropped 0 sessions\n"
+
     def test_failed_write_one_line(self, tmp_path, capsys):
         # the skipped-records note must not precede the write's failure
         csv_path = tmp_path / "sessions.csv"
@@ -441,6 +472,13 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith(f"cannot open {tmp_path}: ")
         assert err.count("\n") == 1
+
+
+# small valid arguments for each suite, to which a test adds its own
+SUITE_ARGS = {
+    "mobility-delta": ["--counts", "20", "--samples", "1"],
+    "oracle-gap": ["--samples", "1"],
+}
 
 
 class TestExperiments:
@@ -514,8 +552,24 @@ class TestExperiments:
         ],
     )
     def test_bad_argument_usage_error(self, suite, option, value, capsys):
-        argv = ["experiment", suite, "--counts", "20", "--samples", "1", option, value]
+        argv = ["experiment", suite, *SUITE_ARGS[suite], option, value]
         assert_usage_error(argv, capsys, option)
+
+    @pytest.mark.parametrize(
+        "suite, flags",
+        [
+            ("baseline-compare", ["--seed", "5", "--counts", "20", "--samples", "3"]),
+            ("oracle-gap", ["--counts", "20", "--scenario", "x.json"]),
+            ("mobility-delta", ["--scenario", "x.json"]),
+        ],
+    )
+    def test_foreign_flag_usage_error(self, suite, flags, scenario_file, capsys):
+        # a flag another suite reads is refused, not silently ignored
+        own = ["--scenario", str(scenario_file)] if suite == "baseline-compare" else []
+        assert main(["experiment", suite, *own, *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments: " in err
+        assert err.count("\n") == 1
 
     def test_mobility_delta_generation_failure(self, capsys):
         # three devices cannot carry the bands of five aggregators

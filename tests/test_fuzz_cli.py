@@ -4,7 +4,8 @@
 pools of valid and invalid values (seeds, counts, fractions, node
 budgets, formats) and paths drawn from fixture files: a valid micro
 scenario, an invalid one, a non-UTF-8 file, a directory, a missing path
-and a result document. Every call must:
+and a result document. An experiment suite gets its own flags and, one
+call in ten, a flag only another suite reads. Every call must:
 
 - return 0, 1, 2 or 3 and raise nothing;
 - print at most one stderr line when it fails;
@@ -81,6 +82,16 @@ MOBILITY = pool(["on", "off"], ["maybe"])
 SUITE = pool(["mobility-delta", "baseline-compare", "oracle-gap"], ["bogus"])
 OUT = st.sampled_from([PATHS["dir"], str(ROOT / "missing" / "out.json")])
 
+# Each suite's own flags; any other suite's flag is foreign to it.
+SUITE_FLAGS = {
+    "mobility-delta": {"--counts": COUNTS, "--samples": SAMPLES, "--seed": SEED},
+    "baseline-compare": {"--scenario": PATH},
+    "oracle-gap": {"--samples": SAMPLES, "--seed": SEED},
+    "bogus": {},
+}
+EXPERIMENT_FLAGS = {flag: s for own in SUITE_FLAGS.values() for flag, s in own.items()}
+SIZING = ("--counts", "--samples")  # always passed where a suite reads them
+
 
 @st.composite
 def argvs(draw) -> list[str]:
@@ -111,8 +122,16 @@ def argvs(draw) -> list[str]:
     elif command == "solve-exact":
         argv = ["solve-exact", draw(PATH)] + flags({"--node-budget": NODE_BUDGET})
     else:
-        argv = ["experiment", draw(SUITE), "--counts", draw(COUNTS), "--samples", draw(SAMPLES)]
-        argv += flags({"--seed": SEED, "--scenario": PATH, "--format": FORMAT})
+        suite = draw(SUITE)
+        own = SUITE_FLAGS[suite]
+        argv = ["experiment", suite]
+        for flag in SIZING:
+            if flag in own:
+                argv += [flag, draw(own[flag])]
+        argv += flags({f: s for f, s in own.items() if f not in SIZING} | {"--format": FORMAT})
+        if draw(one_in(10)):
+            flag = draw(st.sampled_from(sorted(set(EXPERIMENT_FLAGS) - set(own))))
+            argv += [flag, draw(EXPERIMENT_FLAGS[flag])]
     if command != "validate" and draw(one_in(10)):
         argv += ["--out", draw(OUT)]
     if draw(one_in(20)):

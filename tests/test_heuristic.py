@@ -12,7 +12,6 @@ from gridflex.heuristic import (
 )
 from gridflex.model import (
     AggregatorState,
-    AtCluster,
     DeviceRequest,
     DeviceState,
     Idle,
@@ -43,7 +42,7 @@ def make_request(dev_id, modes, demand=50.0, deadline=10, arrival=0, kappa=1.6,
 
 
 def make_state(request, progress=0.0):
-    st = DeviceState(request=request, location=AtCluster(request.home))
+    st = DeviceState(request=request, aggregator=request.home)
     st.progress_kwh = progress
     return st
 
@@ -456,7 +455,30 @@ class TestLiveSet:
         assert rows_of(result) == {
             "b": ["I", "I", "M:0:1", "S:1:1", "S:1:1", "I", "I", "I"],
         }
-        assert result.states["b"].location == AtCluster(1)
+        assert result.states["b"].aggregator == 1
+        assert_replay_matches(cfg, devs, result)
+
+    def test_two_slot_transit_lands_in_id_order(self, monkeypatch):
+        # aggregator 1 has no room for "b"'s only mode, so once late it goes
+        # two hops, 0 -> 2: both transit slots are Move cells, and it lands
+        # in slot 4 between "a" and "c", which sit at aggregator 2 throughout
+        cfg = SystemConfig(3, (1.0, 1.0, 10.0), 8, 0.5, MovementMatrix.line(3, 0.15))
+        devs = [
+            make_request("a", [2], demand=8.0, deadline=8, home=2),
+            make_request("b", [2], demand=1.0, deadline=1, mobile=True, initial=1.0),
+            make_request("c", [2], demand=8.0, deadline=8, home=2),
+        ]
+        members = record_cluster_members(monkeypatch)
+        result = run_horizon(cfg, devs)
+        assert rows_of(result) == {
+            "a": ["S:1:2"] * 8,
+            "b": ["I", "I", "M:0:2", "M:0:2", "S:1:2", "S:1:2", "I", "I"],
+            "c": ["S:1:2"] * 8,
+        }
+        assert [dev_id for dev_id, slot in members if slot == 4] == ["a", "b", "c"]
+        st = result.states["b"]
+        assert st.aggregator == 2
+        assert st.extra_demand_kwh == cfg.movement.total_cost(0, 2)
         assert_replay_matches(cfg, devs, result)
 
     def test_shortfall_within_eps_keeps_paying_deadline_loss(self):

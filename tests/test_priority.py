@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridflex.heuristic import heuristic_rank
-from gridflex.model import AtCluster, DeviceRequest, DeviceState, PowerModeSet
+from gridflex.model import DeviceRequest, DeviceState, PowerModeSet
 from gridflex.priority import priority
 
 
@@ -62,7 +62,7 @@ def state(dev_id, progress=0.0, deadline=SLOT, kappa=1.6, min_mode=1.0):
         modes=PowerModeSet((min_mode, 5.0)),
         home=0,
     )
-    st = DeviceState(request=request, location=AtCluster(0))
+    st = DeviceState(request=request, aggregator=0)
     st.progress_kwh = progress
     return st
 

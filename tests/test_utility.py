@@ -8,7 +8,6 @@ from hypothesis import assume, given, strategies as st
 
 from gridflex.model import (
     DEFAULT_BETA_MAX,
-    AtCluster,
     DeviceRequest,
     DeviceState,
     IDLE,
@@ -54,7 +53,7 @@ def make_request(demand=10.0, deadline=6, kappa=1.6, mobile=True, initial=1.0, h
 
 def make_state(**kwargs):
     request = make_request(**kwargs)
-    return DeviceState(request=request, location=AtCluster(request.home))
+    return DeviceState(request=request, aggregator=request.home)
 
 
 def make_cfg(num_aggregators=3, cost=0.15):
@@ -235,7 +234,7 @@ class TestRowLoss:
 class TestDeviceStateLedger:
     def test_target_set_at_construction(self):
         request = make_state(initial=1.0).request
-        state = DeviceState(request=request, location=AtCluster(0), extra_demand_kwh=0.3)
+        state = DeviceState(request=request, aggregator=0, extra_demand_kwh=0.3)
         assert state.target_kwh == request.demand_kwh + 0.3
         state.progress_kwh = 1.0
         assert state.deficit_kwh == state.target_kwh - 1.0

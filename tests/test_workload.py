@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from gridflex.model import Scenario, scenario_to_dict, validate_config
+from gridflex.model import Scenario, ScenarioFormatError, scenario_to_dict, validate_config
 from gridflex.workload import (
     GenSpec,
     GenerationError,
@@ -166,6 +166,18 @@ class TestParseSessions:
         records, skipped = parse_sessions("arrival,departure,kwh,station\n")
         assert records == []
         assert skipped == 0
+
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            ("", "arrival, departure, kwh, station"),
+            ('{"scenario_id": "x"}\n', "arrival, departure, kwh, station"),
+            ("station,kwh,arrival\nST-01,1.0,2020-03-02T18:00:00\n", "departure"),
+        ],
+    )
+    def test_missing_columns_raise(self, text, missing):
+        with pytest.raises(ScenarioFormatError, match=f"lacks column\\(s\\): {missing}$"):
+            parse_sessions(text)
 
 
 class TestIngestSessions:
