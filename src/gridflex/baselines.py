@@ -22,7 +22,6 @@ def edf_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceState]:
 
 def hp_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceState]:
     """Largest outstanding demand first; ties by device id."""
-    # `deficit_kwh`, read from the fields
     return sorted(
         cluster, key=lambda d: (-max(d.target_kwh - d.progress_kwh, 0.0), d.request.id)
     )
@@ -30,17 +29,17 @@ def hp_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceState]:
 
 @dataclass(frozen=True)
 class SchedulerSpec:
-    """A named scheduler: ranking function plus its default mobility mode."""
+    """A scheduler, named by its `SCHEDULERS` key: ranking function plus
+    its default mobility mode."""
 
-    name: str
     rank_fn: RankFn
     mobility_default: bool
 
 
 SCHEDULERS: dict[str, SchedulerSpec] = {
-    "heuristic": SchedulerSpec("heuristic", heuristic_rank, mobility_default=True),
-    "edf": SchedulerSpec("edf", edf_rank, mobility_default=False),
-    "hp": SchedulerSpec("hp", hp_rank, mobility_default=False),
+    "heuristic": SchedulerSpec(heuristic_rank, mobility_default=True),
+    "edf": SchedulerSpec(edf_rank, mobility_default=False),
+    "hp": SchedulerSpec(hp_rank, mobility_default=False),
 }
 
 

@@ -94,9 +94,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.sessions == "bundled":
         text = workload.bundled_replica_text()
-        records, skipped = workload.parse_sessions(text)
     else:
-        records, skipped = workload.load_sessions(args.sessions)
+        text = Path(args.sessions).read_text()
+    records, skipped = workload.parse_sessions(text)
     spec = workload.IngestSpec(seed=args.seed, mobile_fraction=args.mobile_fraction)
     scenario, dropped = workload.ingest_sessions(records, spec)
     # noted after the write, so a failed write is the call's only stderr line

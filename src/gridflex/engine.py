@@ -90,11 +90,17 @@ def encode_decisions(decisions: dict[str, list[Action]]) -> dict[str, list[str]]
 
 
 def decisions_from_dict(doc: dict) -> dict[str, list[Action]]:
+    """The decision matrix of a result document; each row must be a JSON
+    list (a string would be walked as a row of one-letter actions)."""
     try:
-        return {
-            dev_id: [decode_action(a) for a in row]
-            for dev_id, row in doc["decisions"].items()
-        }
+        decisions = {}
+        for dev_id, row in doc["decisions"].items():
+            if type(row) is not list:
+                raise ScenarioFormatError(
+                    f"decision row {dev_id!r} must be a list, got {type(row).__name__}"
+                )
+            decisions[dev_id] = [decode_action(a) for a in row]
+        return decisions
     except (KeyError, TypeError, AttributeError) as exc:
         raise ScenarioFormatError(f"bad result document: {exc!r}") from exc
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -100,10 +100,19 @@ def schedule_slot(
     while served and residual > EPS:
         upgraded = []
         for dev in served:
-            new_residual = _upgrade_one_step(dev, assignment, residual, slot_hours)
-            if new_residual is not None:
-                residual = new_residual
-                upgraded.append(dev)
+            modes = dev.request.modes
+            current = assignment[dev.request.id]
+            if current >= modes.count:
+                continue
+            step = modes.power(current + 1) - modes.power(current)
+            if step > residual + EPS:
+                continue
+            # the deficit, read from the fields: a served device's exceeds EPS
+            if modes.power(current + 1) * slot_hours > dev.target_kwh - dev.progress_kwh + EPS:
+                continue
+            assignment[dev.request.id] = current + 1
+            residual -= step
+            upgraded.append(dev)
         served = upgraded
 
     agg.committed_kw = agg.budget_kw - residual
@@ -117,24 +126,6 @@ def _serve(mode_index: int, aggregator: int) -> Serve:
     """The one `Serve` for a (mode, aggregator) pair: actions are frozen
     and compare by value, so every assignment can share it."""
     return Serve(mode_index, aggregator)
-
-
-def _upgrade_one_step(
-    dev: DeviceState, assignment: dict[str, int], residual: float, slot_hours: float
-) -> float | None:
-    """Try one mode-step upgrade; return the new residual or None if it fits nothing."""
-    modes = dev.request.modes
-    current = assignment[dev.request.id]
-    if current >= modes.count:
-        return None
-    step = modes.power(current + 1) - modes.power(current)
-    if step > residual + EPS:
-        return None
-    # the deficit, read from the fields: a served device's exceeds EPS
-    if modes.power(current + 1) * slot_hours > dev.target_kwh - dev.progress_kwh + EPS:
-        return None
-    assignment[dev.request.id] = current + 1
-    return residual - step
 
 
 def mobility_decision(
@@ -180,7 +171,7 @@ def mobility_decision(
     for agg in aggregators:
         if agg.index == here:
             continue
-        if agg.residual_kw + EPS < dev.request.modes.min_kw:
+        if agg.residual_kw + EPS < dev.request.modes.levels_kw[0]:
             continue
         opt = matrix.option(here, agg.index)
         if slot + opt.delay_slots > horizon_slots - 1:
@@ -208,7 +199,7 @@ class HorizonResult:
     states: dict[str, DeviceState]
     losses: dict[str, utility.RowLoss]  # each decision row, scored after the horizon
     committed_kw: list[list[float]]  # [slot][aggregator]
-    slot_wall_s: list[float] = field(default_factory=list)
+    slot_wall_s: list[float]
 
     @property
     def total_loss(self) -> float:
@@ -233,13 +224,16 @@ def run_horizon(
 
     Each slot visits only the live set, kept in device-id order: devices
     that are at a cluster and can still cost something. Arrivals and
-    landings join it in their slot. After the aggregator phase, one pass
-    over the live set makes the device phase and builds the next live
-    set. Only an unserved mobile device past its deadline and with a
-    deficit is offered to `mobility_decision`: for any other device
-    staying costs nothing, so it would stay. Every device's choice reads
-    only the residuals the aggregator phase left and its own state, so
-    the order of the pass changes nothing. A departing device leaves the
+    landings join it in their slot. The aggregator phase only decides:
+    each cluster's `schedule_slot` answer is collected, and nothing else
+    changes. One pass over the live set then makes the device phase and
+    builds the next live set. A served device writes its Serve cell and
+    draws the slot's energy; an unserved one keeps the Idle row fill.
+    Only an unserved mobile device past its deadline and with a deficit
+    is offered to `mobility_decision`: for any other device staying costs
+    nothing, so it would stay. Every device's choice reads only the
+    residuals the aggregator phase left and its own state, so the order
+    of the pass changes nothing. A departing device leaves the
     live set until it lands. A device leaves it for good once it is
     `completed` and has progress >= `demand_kwh`: from then on its action
     is Idle and its slot loss is exactly 0, so its row is already final.
@@ -274,34 +268,30 @@ def run_horizon(
         for st in live:
             clusters[st.aggregator].append(st)
 
-        # aggregator phase: independent per cluster
+        # aggregator phase: independent per cluster, a decision only
+        served: dict[str, Serve] = {}
         for agg, cluster in zip(aggs, clusters):
-            assigned = schedule_slot(agg, cluster, t, cfg.slot_hours, rank_fn)
-            for dev_id, action in assigned.items():
-                st = states[dev_id]
-                decisions[dev_id][t] = action
-                delivered = st.request.modes.power(action.mode_index) * cfg.slot_hours
-                # the deficit, read from the fields: a served device's exceeds EPS
-                st.progress_kwh += min(delivered, st.target_kwh - st.progress_kwh)
+            served.update(schedule_slot(agg, cluster, t, cfg.slot_hours, rank_fn))
 
-        # device phase, one pass: late unserved mobile devices may depart
-        # this slot, and devices whose rows are final leave the live set
+        # device phase, one pass: served devices draw their slot's energy,
+        # late unserved mobile devices may depart this slot, and devices
+        # whose rows are final leave the live set
         next_live: list[DeviceState] = []
         for st in live:
             req = st.request
+            action = served.get(req.id)
+            if action is not None:
+                decisions[req.id][t] = action
+                delivered = req.modes.power(action.mode_index) * cfg.slot_hours
+                # the deficit, read from the fields: a served device's exceeds EPS
+                st.progress_kwh += min(delivered, st.target_kwh - st.progress_kwh)
             # the deficit against `target_kwh`, as `completed` reads it
             if st.target_kwh - st.progress_kwh <= EPS:
                 # retired only with progress >= demand as well: `completed`
                 # allows an EPS shortfall that the deadline term still charges
                 if req.demand_kwh - st.progress_kwh <= 0.0:
                     continue
-            # unserved means the slot still holds the IDLE row fill
-            elif (
-                mobility_enabled
-                and req.mobile
-                and t > req.deadline_slot
-                and decisions[req.id][t] is IDLE
-            ):
+            elif action is None and mobility_enabled and req.mobile and t > req.deadline_slot:
                 move = mobility_decision(st, aggs, cfg.movement, t, tau, cfg.beta_max)
                 if move is not None:
                     # the transit lands by slot tau - 1: mobility_decision
@@ -329,14 +319,5 @@ def run_horizon(
     )
 
 
-def run_scenario(
-    scenario: Scenario,
-    rank_fn: RankFn = heuristic_rank,
-    mobility_enabled: bool = True,
-) -> HorizonResult:
-    return run_horizon(
-        scenario.config,
-        scenario.devices,
-        rank_fn=rank_fn,
-        mobility_enabled=mobility_enabled,
-    )
+def run_scenario(scenario: Scenario) -> HorizonResult:
+    return run_horizon(scenario.config, scenario.devices)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Union
@@ -165,11 +166,6 @@ class PowerModeSet:
         return self.levels_kw[index - 1]
 
     @property
-    def min_kw(self) -> float:
-        """Lowest non-zero mode."""
-        return self.levels_kw[0]
-
-    @property
     def max_kw(self) -> float:
         return self.levels_kw[-1]
 
@@ -245,15 +241,20 @@ def encode_action(action: Action) -> str:
     return "I"
 
 
+# the only strings `encode_action` writes: `int()` alone would also take
+# " 1", "01" and "1_0"; ranges are the validator's to check
+_ACTION_RE = re.compile(r"([SM]):(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
+
+
 def decode_action(text: str) -> Action:
     if text == "I":
         return IDLE
-    parts = text.split(":")
-    kind = {"S": Serve, "M": Move}.get(parts[0])
-    if kind is not None and len(parts) == 3:
+    match = _ACTION_RE.fullmatch(text)
+    if match is not None:
+        kind, first, second = match.groups()
         try:
-            return kind(int(parts[1]), int(parts[2]))
-        except ValueError:
+            return (Serve if kind == "S" else Move)(int(first), int(second))
+        except ValueError:  # more digits than `int()` converts
             pass
     raise ScenarioFormatError(f"unknown action encoding {text!r}")
 
@@ -320,12 +321,8 @@ class DeviceState:
         self.target_kwh = self.request.demand_kwh + self.extra_demand_kwh
 
     @property
-    def deficit_kwh(self) -> float:
-        return max(self.target_kwh - self.progress_kwh, 0.0)
-
-    @property
     def completed(self) -> bool:
-        return self.deficit_kwh <= EPS
+        return self.target_kwh - self.progress_kwh <= EPS
 
     @property
     def available_energy_kwh(self) -> float:
@@ -491,20 +488,14 @@ def _int_field(doc: dict, key: str) -> int:
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
-def _bool_field(doc: dict, key: str) -> bool:
-    """`doc[key]` as a JSON boolean; `bool()` would make `"false"` true."""
+def _typed_field(doc: dict, key: str, kind: type, what: str):
+    """`doc[key]` as exactly a JSON `kind` (`what` names it in the error):
+    `bool()` would make `"false"` true, `str()` would make `null` the id
+    `'None'`."""
     value = doc[key]
-    if type(value) is bool:
+    if type(value) is kind:
         return value
-    raise ValueError(f"{key} must be a boolean, got {value!r}")
-
-
-def _str_field(doc: dict, key: str) -> str:
-    """`doc[key]` as a JSON string; `str()` would make `null` the id `'None'`."""
-    value = doc[key]
-    if type(value) is str:
-        return value
-    raise ValueError(f"{key} must be a string, got {value!r}")
+    raise ValueError(f"{key} must be {what}, got {value!r}")
 
 
 def _movement_from_dict(doc: dict) -> MovementMatrix:
@@ -575,10 +566,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
         devices = tuple(
             DeviceRequest(
-                id=_str_field(d, "id"),
+                id=_typed_field(d, "id", str, "a string"),
                 arrival_slot=_int_field(d, "arrival_slot"),
                 deadline_slot=_int_field(d, "deadline_slot"),
-                mobile=_bool_field(d, "mobile"),
+                mobile=_typed_field(d, "mobile", bool, "a boolean"),
                 initial_energy_kwh=float(d["initial_energy_kwh"]),
                 demand_kwh=float(d["demand_kwh"]),
                 criticality=float(d["criticality"]),
@@ -587,7 +578,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             )
             for d in doc["devices"]
         )
-        return Scenario(_str_field(doc, "id"), cfg, devices)
+        return Scenario(_typed_field(doc, "id", str, "a string"), cfg, devices)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad scenario document: {exc}") from exc
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -363,10 +362,6 @@ def parse_sessions(text: str) -> tuple[list[SessionRecord], int]:
             continue
         records.append(SessionRecord(arrival, departure, energy, station))
     return records, skipped
-
-
-def load_sessions(path: str | Path) -> tuple[list[SessionRecord], int]:
-    return parse_sessions(Path(path).read_text())
 
 
 def bundled_replica_text() -> str:

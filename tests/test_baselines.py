@@ -154,4 +154,4 @@ class TestProperties:
             power = dev.request.modes.power(action.mode_index)
             if action.mode_index > 1:
                 # upgrades never overshoot the outstanding demand
-                assert power * 0.5 <= dev.deficit_kwh + 1e-9
+                assert power * 0.5 <= dev.target_kwh - dev.progress_kwh + 1e-9

@@ -8,7 +8,7 @@ shape of the horizon loop fails here too.
 
 from pathlib import Path
 
-from gridflex import baselines, cli, engine, exact, heuristic, utility, workload
+from gridflex import baselines, cli, engine, exact, heuristic, model, utility, workload
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,8 +48,19 @@ def test_traced_run_reaches_every_horizon_layer(monkeypatch):
     assert snap["counts"]["heuristic.moves"] > 0
 
 
-def test_workload_entry_points_exist():
-    assert callable(heuristic.run_scenario)
+def test_workload_entry_points_exist(tmp_path):
+    # the call shapes the workloads use that no other test makes; no solve runs
+    (micro,) = workload.micro_instances(
+        1, seed=0, max_devices=4, max_slots=8, max_aggregators=3
+    )
+    assert heuristic.run_scenario(micro).decisions.keys() == micro.device_map().keys()
+    assert exact.ExactInstance(micro, exact.ExactCaps(node_budget=10)).caps.node_budget == 10
+    (spec,) = engine.sample_grid(
+        (20,), 1, seed=0, class_combos=(("L", "M"),), mobile_fractions=(0.5,)
+    )
+    assert (spec.class_combo, spec.mobile_fraction) == (("L", "M"), 0.5)
+    model.save_scenario(micro, tmp_path / "micro.json")
+    assert model.load_scenario(tmp_path / "micro.json") == micro
     assert callable(exact.solve_exact)
     assert callable(engine.replay_loss)
     assert callable(engine.decisions_from_dict)

@@ -336,6 +336,25 @@ class TestMalformedInput:
         out.write_text(json.dumps(doc))
         self.assert_rejected(["validate", str(scenario_file), str(out)], capsys)
 
+    @pytest.mark.parametrize("action", ["S: 1:0", "S:01:0", "S:1_0:0"])
+    def test_validate_non_canonical_action(self, action, tmp_path, scenario_file, capsys):
+        # int() would read each as a valid field: " 1" and "01" as 1, "1_0" as 10
+        out = tmp_path / "result.json"
+        assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        doc["decisions"][sorted(doc["decisions"])[0]][0] = action
+        out.write_text(json.dumps(doc))
+        self.assert_rejected(["validate", str(scenario_file), str(out)], capsys)
+
+    def test_validate_string_rows(self, tmp_path, scenario_file, capsys):
+        # an all-Idle row written as one string must not be walked letter by letter
+        out = tmp_path / "result.json"
+        assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        doc["decisions"] = {dev_id: "I" * len(row) for dev_id, row in doc["decisions"].items()}
+        out.write_text(json.dumps(doc))
+        self.assert_rejected(["validate", str(scenario_file), str(out)], capsys)
+
 
 def _nan_initial_energy(doc):
     doc["devices"][0]["initial_energy_kwh"] = math.nan

@@ -14,6 +14,7 @@ from gridflex.model import (
     AggregatorState,
     DeviceRequest,
     DeviceState,
+    IDLE,
     Idle,
     Move,
     MovementMatrix,
@@ -368,17 +369,18 @@ class TestRunHorizon:
         def recording(agg, cluster, slot, *args):
             for st in cluster:
                 if st.request.id == "b" and st.extra_demand_kwh > 0.0 and not landed:
-                    landed.append((st.extra_demand_kwh, st.target_kwh, st.deficit_kwh,
-                                   st.progress_kwh))
+                    landed.append((st.extra_demand_kwh, st.target_kwh, st.progress_kwh,
+                                   st.completed))
             return original(agg, cluster, slot, *args)
 
         monkeypatch.setattr(heuristic, "schedule_slot", recording)
         result = run_horizon(cfg, devs)
         assert any(isinstance(a, Move) for a in result.decisions["b"])
-        extra, target, deficit, progress = landed[0]
+        extra, target, progress, completed = landed[0]
         assert extra == 0.15  # one one-slot hop
         assert target == 6.0 + 0.15
-        assert deficit == target - progress > 0.0
+        assert target - progress > 0.0
+        assert not completed
         final = result.states["b"]
         assert final.target_kwh == final.request.demand_kwh + final.extra_demand_kwh
 
@@ -615,6 +617,18 @@ class TestMobilityOffers:
         assert [c for c in calls if c[2] is not None] == starts
         assert all(dev_id == "b" and t > 6 for dev_id, t, _ in calls)
         assert_replay_matches(cfg, devs, result)
+
+    def test_offered_devices_were_unserved(self, monkeypatch):
+        # each offer's slot holds the Idle fill, or the transit it started
+        calls = record_mobility_calls(monkeypatch)
+        scenario = workload.generate(workload.GenSpec(num_devices=100, seed=3))
+        result = run_horizon(scenario.config, scenario.devices)
+        assert any(move is not None for _, _, move in calls)
+        assert any(move is None for _, _, move in calls)
+        for dev_id, t, move in calls:
+            cell = result.decisions[dev_id][t]
+            assert cell is IDLE if move is None else cell == move
+        assert_replay_matches(scenario.config, scenario.devices, result)
 
 
 class TestWorkProportionalToLiveSet:

@@ -251,10 +251,27 @@ class TestScenarioRoundTrip:
         assert type(back.devices[0].deadline_slot) is int
         assert back == scenario_from_dict(scenario_to_dict(back))
 
-    @pytest.mark.parametrize("value", [0.7, True, False, "3", None])
-    def test_inexact_integer_rejected(self, value):
-        # truncating 0.7 to 0 or True to 1 would accept a different scenario
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("devices", 0, "arrival_slot"), 0.7, "arrival_slot must be an integer"),
+            (("devices", 0, "arrival_slot"), True, "arrival_slot must be an integer"),
+            (("devices", 0, "arrival_slot"), False, "arrival_slot must be an integer"),
+            (("devices", 0, "arrival_slot"), "3", "arrival_slot must be an integer"),
+            (("devices", 0, "arrival_slot"), None, "arrival_slot must be an integer"),
+            (("devices", 0, "mobile"), "false", "mobile must be a boolean, got 'false'"),
+            (("devices", 0, "id"), None, "id must be a string, got None"),
+            (("id",), 7, "id must be a string, got 7"),
+        ],
+        ids=["0.7", "True", "False", "3", "None", "mobile", "device-id", "scenario-id"],
+    )
+    def test_inexact_integer_rejected(self, path, value, message):
+        # truncating 0.7 to 0 or True to 1 would accept a different scenario,
+        # as bool("false") or str(None) would
         doc = scenario_to_dict(Scenario("i", make_config(), (make_device(),)))
-        doc["devices"][0]["arrival_slot"] = value
-        with pytest.raises(ScenarioFormatError, match="arrival_slot must be an integer"):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ScenarioFormatError, match=message):
             scenario_from_dict(doc)

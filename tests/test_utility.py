@@ -237,7 +237,12 @@ class TestDeviceStateLedger:
         state = DeviceState(request=request, aggregator=0, extra_demand_kwh=0.3)
         assert state.target_kwh == request.demand_kwh + 0.3
         state.progress_kwh = 1.0
-        assert state.deficit_kwh == state.target_kwh - 1.0
+        assert not state.completed
+        # `completed` reads the deficit against the target, not the demand
+        state.progress_kwh = request.demand_kwh
+        assert not state.completed
+        state.progress_kwh = state.target_kwh
+        assert state.completed
 
 
     def test_available_energy_tracks_moves(self):
