@@ -259,7 +259,14 @@ def sample_grid(
     class_combos: Sequence[tuple[str, ...]] = DEFAULT_CLASS_COMBOS,
     mobile_fractions: Sequence[float] = DEFAULT_MOBILE_FRACTIONS,
 ) -> list[workload.GenSpec]:
-    """Rotate class combinations and mobile fractions across seeded samples."""
+    """Rotate class combinations and mobile fractions across seeded samples.
+
+    Raises `ValueError` when either pool is empty.
+    """
+    if not class_combos:
+        raise ValueError("class_combos must hold at least one class combination")
+    if not mobile_fractions:
+        raise ValueError("mobile_fractions must hold at least one fraction")
     specs = []
     for count in device_counts:
         for s in range(samples_per_count):

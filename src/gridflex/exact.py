@@ -7,6 +7,10 @@ scheduler bookkeeping. The solver enumerates joint per-slot actions
 depth-first with an admissible lower bound (accumulated loss plus each
 device's solo full-rate future deadline loss), so its result is a true
 optimum usable as an oracle against the heuristic and baselines.
+
+Both keep their own state and treat a transit as the engine does, as a
+re-arrival: the device is at its target from the departure on and may
+not act before its landing slot, the departure slot plus the delay.
 """
 
 from __future__ import annotations
@@ -129,32 +133,28 @@ def validate_schedule(
         row = decisions[dev_id]
         progress = 0.0
         extra = 0.0
+        # a transit is a re-arrival: the departure puts the device at its
+        # target at once, and every cell before `landing` must repeat it
         location = dev.home
-        transit: tuple[int, int, int] | None = None  # origin, target, remaining
+        transit: Move | None = None
+        landing = 0
 
         for t, action in enumerate(row):
-            if transit is None:
-                if type(action) is Idle:
-                    # nothing to check or replay
-                    continue
-            else:
-                origin, target, remaining = transit
-                if isinstance(action, Move) and (action.origin, action.target) == (origin, target):
-                    remaining -= 1
-                    transit = None if remaining == 0 else (origin, target, remaining)
-                    if transit is None:
-                        location = target
-                    continue
-                # transit interrupted before its delay elapsed
-                checks["vi"].record(dev_id, t)
-                if isinstance(action, Serve):
-                    checks["iv"].record(dev_id, t)
-                    checks["vii"].record(dev_id, t)
-                if isinstance(action, Move):
-                    checks["v"].record(dev_id, t)
-                # best-effort recovery: assume the device reached its target
-                location = target
+            if transit is not None:
+                if t < landing:
+                    if action == transit:
+                        continue
+                    # transit interrupted before its delay elapsed
+                    checks["vi"].record(dev_id, t)
+                    if isinstance(action, Serve):
+                        checks["iv"].record(dev_id, t)
+                        checks["vii"].record(dev_id, t)
+                    if isinstance(action, Move):
+                        checks["v"].record(dev_id, t)
                 transit = None
+            elif type(action) is Idle:
+                # nothing to check or replay
+                continue
 
             if isinstance(action, Move):
                 if t < dev.arrival_slot:
@@ -171,15 +171,11 @@ def validate_schedule(
                     bad_edge = True
                 elif action.origin != location:
                     checks["v"].record(dev_id, t)
-                    location = action.origin  # trust the move for further replay
                 if bad_edge:
                     continue
                 opt = cfg.movement.option(action.origin, action.target)
                 extra += opt.delay_slots * opt.cost_kwh_per_slot
-                if opt.delay_slots == 1:
-                    location = action.target
-                else:
-                    transit = (action.origin, action.target, opt.delay_slots - 1)
+                location, transit, landing = action.target, action, t + opt.delay_slots
 
             elif isinstance(action, Serve):
                 if t < dev.arrival_slot:
@@ -199,7 +195,7 @@ def validate_schedule(
                     checks["viii"].record(dev_id, t)
                 progress = min(progress + power * cfg.slot_hours, dev.demand_kwh + extra)
 
-        if transit is not None:
+        if transit is not None and landing > tau:
             # transit ran into the end of the horizon
             checks["vi"].record(dev_id, tau - 1)
 
@@ -261,8 +257,11 @@ class _Searcher:
 
         self.progress = [0.0] * self.K
         self.extra = [0.0] * self.K
-        # location: aggregator index, or ("T", origin, target, arrival)
-        self.loc: list = [d.home for d in devices]
+        # a transit is a re-arrival: a departure writes all its Move cells,
+        # sets `loc` to the target and `free` (the first slot the device
+        # may act in, at first its arrival) to the landing slot
+        self.loc = [d.home for d in devices]
+        self.free = [d.arrival_slot for d in devices]
         self.actions = [[IDLE] * self.tau for _ in range(self.K)]
         self.residual = [0.0] * cfg.num_aggregators
 
@@ -272,24 +271,21 @@ class _Searcher:
     # -- admissible lower bound -------------------------------------------------
 
     def _future_floor(self, t_next: int) -> float:
-        """Unavoidable loss from slot t_next on: per device, remaining transit
-        cost plus deadline losses under solo full-rate service."""
+        """Unavoidable loss from slot t_next on: per device, the cost of the
+        rest of a transit under way plus deadline losses under solo
+        full-rate service."""
         total = 0.0
         for k, dev in enumerate(self.devices):
             progress = self.progress[k]
             deficit = dev.demand_kwh - progress
-            loc = self.loc[k]
-            start = max(t_next, dev.arrival_slot)
-            if isinstance(loc, tuple):
-                _, origin, target, arrival = loc
-                remaining = arrival - t_next
-                if remaining > 0:
-                    total += (
-                        2.0
-                        * remaining
-                        * self.cfg.movement.option(origin, target).cost_kwh_per_slot
-                    )
-                start = max(start, arrival)
+            start = max(t_next, self.free[k])
+            pending = self.actions[k][t_next]
+            if isinstance(pending, Move):
+                total += (
+                    2.0
+                    * (start - t_next)
+                    * self.cfg.movement.option(pending.origin, pending.target).cost_kwh_per_slot
+                )
             if deficit <= EPS:
                 continue
             rate = dev.modes.max_kw * self.cfg.slot_hours
@@ -333,20 +329,9 @@ class _Searcher:
             return
         if acc + self._future_floor(t) >= self.best_loss:
             return
-        # transit arrivals happen at slot start
-        arrived: list[tuple[int, tuple]] = []
-        for k in range(self.K):
-            loc = self.loc[k]
-            if isinstance(loc, tuple) and loc[3] == t:
-                arrived.append((k, loc))
-                self.loc[k] = loc[2]
-        saved_residual = self.residual[:]
-        for j in range(self.cfg.num_aggregators):
-            self.residual[j] = self.cfg.budgets_kw[j]
+        saved, self.residual = self.residual, list(self.cfg.budgets_kw)
         self._branch_device(t, 0, acc)
-        self.residual = saved_residual
-        for k, loc in arrived:
-            self.loc[k] = loc
+        self.residual = saved
 
     def _branch_device(self, t: int, k: int, acc: float) -> None:
         if k == self.K:
@@ -379,18 +364,10 @@ class _Searcher:
                 f"node budget {self.node_budget} exceeded; instance too large"
             )
 
-        # forced: not yet arrived
-        if t < dev.arrival_slot:
-            self.actions[k][t] = IDLE
+        # forced: not yet arrived or in transit; the cell already holds
+        # Idle or the transit's Move
+        if t < self.free[k]:
             self._branch_device(t, k + 1, acc)
-            return
-
-        # forced: mid-transit
-        if isinstance(loc, tuple):
-            _, origin, target, _arrival = loc
-            self.actions[k][t] = Move(origin, target)
-            self._branch_device(t, k + 1, acc)
-            self.actions[k][t] = IDLE
             return
 
         deficit = dev.demand_kwh + self.extra[k] - self.progress[k]
@@ -416,6 +393,7 @@ class _Searcher:
 
         # moves (mobile devices only; affordable, completing within the horizon)
         if dev.mobile and deficit > EPS:
+            free = self.free[k]
             available = dev.initial_energy_kwh + self.progress[k] - self.extra[k]
             options = []
             for target in range(self.cfg.num_aggregators):
@@ -429,16 +407,14 @@ class _Searcher:
                     continue
                 options.append((cost, target, opt))
             for cost, target, opt in sorted(options):
-                self.actions[k][t] = Move(loc, target)
+                landing = t + opt.delay_slots
+                self.actions[k][t:landing] = [Move(loc, target)] * opt.delay_slots
                 self.extra[k] += cost
-                if opt.delay_slots == 1:
-                    self.loc[k] = target
-                else:
-                    self.loc[k] = ("T", loc, target, t + opt.delay_slots)
+                self.loc[k], self.free[k] = target, landing
                 self._branch_device(t, k + 1, acc)
-                self.loc[k] = loc
+                self.loc[k], self.free[k] = loc, free
                 self.extra[k] -= cost
-                self.actions[k][t] = IDLE
+                self.actions[k][t:landing] = [IDLE] * opt.delay_slots
 
 
 def solve_exact(instance: ExactInstance) -> ExactResult:

@@ -498,12 +498,30 @@ def _typed_field(doc: dict, key: str, kind: type, what: str):
     raise ValueError(f"{key} must be {what}, got {value!r}")
 
 
+def _number(value, name: str) -> float:
+    """`value` as a float if it is a JSON number: `float()` would also
+    take the string `"0.5"` and the boolean `true`."""
+    if type(value) is float or type(value) is int:
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _numbers(doc: dict, key: str) -> tuple[float, ...]:
+    """`doc[key]` as a JSON list of numbers; iterating the string `"44"`
+    would read the budgets `(4.0, 4.0)`."""
+    values = _typed_field(doc, key, list, "a list")
+    for value in values:
+        if type(value) is not float and type(value) is not int:
+            raise ValueError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(map(float, values))
+
+
 def _movement_from_dict(doc: dict) -> MovementMatrix:
     try:
         n = _int_field(doc, "num_aggregators")
         listed = {
             (_int_field(p, "from"), _int_field(p, "to")): MovementOption(
-                _int_field(p, "delay_slots"), float(p["cost_kwh_per_slot"])
+                _int_field(p, "delay_slots"), _number(p["cost_kwh_per_slot"], "cost_kwh_per_slot")
             )
             for p in doc["pairs"]
         }
@@ -558,11 +576,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         cfg_doc = doc["config"]
         cfg = SystemConfig(
             num_aggregators=_int_field(cfg_doc, "num_aggregators"),
-            budgets_kw=tuple(float(b) for b in cfg_doc["budgets_kw"]),
+            budgets_kw=_numbers(cfg_doc, "budgets_kw"),
             horizon_slots=_int_field(cfg_doc, "horizon_slots"),
-            slot_hours=float(cfg_doc["slot_hours"]),
+            slot_hours=_number(cfg_doc["slot_hours"], "slot_hours"),
             movement=_movement_from_dict(cfg_doc["movement"]),
-            beta_max=float(cfg_doc.get("beta_max", DEFAULT_BETA_MAX)),
+            beta_max=_number(cfg_doc.get("beta_max", DEFAULT_BETA_MAX), "beta_max"),
         )
         devices = tuple(
             DeviceRequest(
@@ -570,10 +588,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 arrival_slot=_int_field(d, "arrival_slot"),
                 deadline_slot=_int_field(d, "deadline_slot"),
                 mobile=_typed_field(d, "mobile", bool, "a boolean"),
-                initial_energy_kwh=float(d["initial_energy_kwh"]),
-                demand_kwh=float(d["demand_kwh"]),
-                criticality=float(d["criticality"]),
-                modes=PowerModeSet(tuple(float(m) for m in d["modes_kw"])),
+                initial_energy_kwh=_number(d["initial_energy_kwh"], "initial_energy_kwh"),
+                demand_kwh=_number(d["demand_kwh"], "demand_kwh"),
+                criticality=_number(d["criticality"], "criticality"),
+                modes=PowerModeSet(_numbers(d, "modes_kw")),
                 home=_int_field(d, "home"),
             )
             for d in doc["devices"]

@@ -155,7 +155,8 @@ def generate(spec: GenSpec) -> Scenario:
     the horizon; every cluster's total demand lands inside its drawn
     utilization band within 1%. Raises `GenerationError` when a band is
     unreachable under the mode pool, and `ValueError` for fewer than one
-    device, a mobile fraction outside [0, 1] or an unknown load class. The
+    device, a mobile fraction outside [0, 1], an empty class combination
+    or an unknown load class. The
     grid itself is fixed: a `GEN_HORIZON_SLOTS`-slot horizon of
     `SLOT_HOURS` slots, one aggregator per load class on a line
     (`MOVE_COST_KWH_PER_SLOT`) with `BUDGET_KW` each, and periodicities,
@@ -168,6 +169,8 @@ def generate(spec: GenSpec) -> Scenario:
     if spec.num_devices < 1:
         raise ValueError(f"num_devices must be at least 1, got {spec.num_devices}")
     check_mobile_fraction(spec.mobile_fraction)
+    if not spec.class_combo:
+        raise ValueError("class_combo must name at least one load class")
     for cls in spec.class_combo:
         if cls not in LOAD_CLASSES:
             raise ValueError(f"unknown load class {cls!r}")

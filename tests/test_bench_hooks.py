@@ -6,6 +6,8 @@ its workloads call, and runs one traced scenario so a change to the call
 shape of the horizon loop fails here too.
 """
 
+import json
+from importlib import resources
 from pathlib import Path
 
 from gridflex import baselines, cli, engine, exact, heuristic, model, utility, workload
@@ -67,3 +69,29 @@ def test_workload_entry_points_exist(tmp_path):
     assert callable(engine.worker_count)
     assert callable(heuristic.HorizonResult.total_loss.fget)
     assert {baselines.edf_rank.__name__, baselines.hp_rank.__name__} == {"edf_rank", "hp_rank"}
+
+
+def test_oracle_micro_seed_0_matches_recorded_digests(monkeypatch, tmp_path):
+    # the benchmark's only exact-solver workload, op for op: a change to
+    # the solver's search order, node count or optimum changes a digest
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    wl = workloads.OracleMicro()
+    digests = []
+    for instance in wl.prepare(0, tmp_path):
+        digest, causes, _counts = wl.check(instance, wl.op(instance))
+        assert causes == []
+        digests.append(digest)
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())["oracle-micro"]["0"]
+    assert len(digests) == wl.picks
+    assert digests == recorded
+
+
+def test_benchmark_scenarios_decode_and_validate():
+    corpus = json.loads((PERFBENCH / "oracle_corpus.json").read_text())["instances"]
+    assert len(corpus) == 96
+    golden = resources.files("gridflex").joinpath("data", "golden_light20.json")
+    docs = [entry["scenario"] for entry in corpus] + [json.loads(golden.read_text())]
+    for doc in docs:
+        engine.check_scenario(model.scenario_from_dict(doc))

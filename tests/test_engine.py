@@ -219,6 +219,14 @@ class TestExperiments:
         assert table.startswith("device_count\tmobile_fraction")
         assert len(table.strip().splitlines()) == 1 + len(summary.groups)
 
+    @pytest.mark.parametrize(
+        "pools", [{"class_combos": ()}, {"mobile_fractions": ()}], ids=["combos", "fractions"]
+    )
+    def test_sample_grid_empty_pool_rejected(self, pools):
+        # an empty pool used to divide by zero in the rotation
+        with pytest.raises(ValueError, match=next(iter(pools))):
+            sample_grid([20], samples_per_count=2, **pools)
+
     def test_baseline_compare_keys(self, congested):
         results = baseline_compare(congested)
         assert set(results) == {"heuristic", "edf", "hp"}

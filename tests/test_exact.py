@@ -179,6 +179,29 @@ class TestValidateSchedule:
         assert not report.checks["iv"].passed
         assert not report.checks["vii"].passed
 
+    @pytest.mark.parametrize(
+        "delay, row, failed",
+        [
+            (2, [Move(0, 1), IDLE, IDLE, IDLE, IDLE], {"vi": 1}),
+            (2, [Move(0, 1), Move(1, 0), IDLE, IDLE, IDLE], {"v": 1, "vi": 1}),
+            (3, [IDLE, IDLE, IDLE, Move(0, 1), Move(0, 1)], {"vi": 4}),
+            (
+                2,
+                [Move(0, 1), Serve(1, 0), Serve(1, 1), IDLE, IDLE],
+                {"i": 1, "iv": 1, "vi": 1, "vii": 1},
+            ),
+            (2, [Move(0, 1), Move(0, 1), Serve(1, 1), IDLE, IDLE], {}),
+        ],
+        ids=["dropped", "turned-back", "past-horizon", "served-in-transit", "landed"],
+    )
+    def test_transit_witnesses(self, delay, row, failed):
+        # the slot of each failed constraint's earliest witness
+        cfg = make_cfg(num_aggregators=2, horizon=5, delay=delay)
+        devs = [make_request("a", [2], 2.0, 4, mobile=True, initial=1.0)]
+        report = validate_schedule({"a": row}, cfg, devs)
+        assert {c.name: c.witness[1] for c in report.failed()} == failed
+        assert all(c.witness[0] == "a" for c in report.failed())
+
     def test_truncated_transit_fails_duration(self):
         cfg = make_cfg(num_aggregators=2, horizon=5, delay=3)
         devs = [make_request("a", [2], 2.0, 4, mobile=True, initial=1.0)]
@@ -317,6 +340,33 @@ class TestSolveExact:
         assert result.loss == pytest.approx(2 * 0.1, rel=1e-9)
         moved = any(isinstance(a, Move) for a in result.decisions["b"])
         assert moved
+
+    def test_multi_slot_transit_in_optimum(self):
+        # a finishes on the 1 kW home budget; b moves over a 2-slot edge to
+        # the 4 kW neighbour and finishes there at 3 kW
+        cfg = SystemConfig(
+            num_aggregators=2,
+            budgets_kw=(1.0, 4.0),
+            horizon_slots=5,
+            slot_hours=0.5,
+            movement=MovementMatrix.uniform(2, 2, 0.05),
+        )
+        scenario = Scenario(
+            "t5",
+            cfg,
+            (
+                make_request("a", [1], 1.0, 2, home=0),
+                make_request("b", [1, 3], 1.5, 2, home=0, mobile=True, initial=1.0),
+            ),
+        )
+        result = solve_exact(ExactInstance(scenario))
+        assert result.loss == pytest.approx(0.2, rel=1e-9)
+        assert result.loss == pytest.approx(brute_force_optimum(scenario), rel=1e-9)
+        row = result.decisions["b"]
+        start = row.index(Move(0, 1))
+        assert row[start + 1] == Move(0, 1)
+        assert validate_schedule(result.decisions, cfg, list(scenario.devices)).all_pass
+        assert result.nodes == 94
 
     def test_caps_refusal(self):
         # one instance just past each fixed guardrail; each is refused before

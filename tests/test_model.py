@@ -262,8 +262,31 @@ class TestScenarioRoundTrip:
             (("devices", 0, "mobile"), "false", "mobile must be a boolean, got 'false'"),
             (("devices", 0, "id"), None, "id must be a string, got None"),
             (("id",), 7, "id must be a string, got 7"),
+            (("devices", 0, "modes_kw"), "123", "modes_kw must be a list, got '123'"),
+            (
+                ("devices", 0, "modes_kw"),
+                [1, "3"],
+                "modes_kw must be a list of numbers, got \\[1, '3'\\]",
+            ),
+            (("config", "budgets_kw"), "44", "budgets_kw must be a list, got '44'"),
+            (("config", "budgets_kw"), [40, True], "budgets_kw must be a list of numbers"),
+            (("devices", 0, "demand_kwh"), "0.5", "demand_kwh must be a number, got '0.5'"),
+            (("devices", 0, "initial_energy_kwh"), None, "initial_energy_kwh must be a number"),
+            (("devices", 0, "criticality"), [1.6], "criticality must be a number"),
+            (("config", "slot_hours"), True, "slot_hours must be a number, got True"),
+            (("config", "beta_max"), "1e9", "beta_max must be a number"),
+            (
+                ("config", "movement", "pairs", 0, "cost_kwh_per_slot"),
+                "0.1",
+                "cost_kwh_per_slot must be a number",
+            ),
         ],
-        ids=["0.7", "True", "False", "3", "None", "mobile", "device-id", "scenario-id"],
+        ids=[
+            "0.7", "True", "False", "3", "None", "mobile", "device-id", "scenario-id",
+            "modes-string", "mode-string", "budgets-string", "budget-bool", "demand-string",
+            "initial-null", "criticality-list", "slot-hours-bool", "beta-max-string",
+            "move-cost-string",
+        ],
     )
     def test_inexact_integer_rejected(self, path, value, message):
         # truncating 0.7 to 0 or True to 1 would accept a different scenario,

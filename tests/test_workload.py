@@ -104,6 +104,9 @@ class TestGenerate:
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError):
             generate(GenSpec(num_devices=5, class_combo=("X",), seed=0))
+        # no class at all used to divide by zero placing the homes
+        with pytest.raises(ValueError, match="class_combo"):
+            generate(GenSpec(num_devices=5, class_combo=(), seed=0))
 
     @pytest.mark.parametrize("num_devices", [0, -5])
     def test_device_count_below_one_rejected(self, num_devices):
