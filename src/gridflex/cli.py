@@ -5,7 +5,8 @@ experiment suites. Exit codes: 0 success, 1 usage error (bad argument
 or unreadable file), 2 validation or generation failure, or a malformed
 or undecodable input document, 3 exact-solver cap exceeded. Table output
 is rendered from the same result objects that JSON output serializes,
-and all JSON goes through one compact, strict writer.
+and all JSON is compact and strict: `run` writes `RunResult.json_chunks`,
+every other command goes through `_write_json`.
 """
 
 from __future__ import annotations
@@ -112,9 +113,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = engine.run(scenario, args.scheduler, mobility=mobility)
     if args.format == "table":
         _write_or_print(_render_run_table(result), args.out)
+    elif args.out:
+        with open(args.out, "w") as f:
+            _write_chunks(result, f)
     else:
-        _write_json(result.to_dict(), args.out)
+        _write_chunks(result, sys.stdout)
     return EXIT_OK
+
+
+def _write_chunks(result: engine.RunResult, f) -> None:
+    """The `_write_json` text of `result.to_dict()`, a decision row at a
+    time: the whole document is never built as one string."""
+    f.writelines(result.json_chunks())
+    f.write("\n")
 
 
 def _render_run_table(result: engine.RunResult) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import baselines, exact, heuristic, utility, workload
 from .model import (
@@ -59,7 +59,8 @@ class RunResult:
     utilization_kw: list[list[float]]  # [slot][aggregator]
     slot_wall_s: list[float]
 
-    def to_dict(self, include_timing: bool = True) -> dict:
+    def _header(self, include_timing: bool) -> dict:
+        """Every field of the result document except the decisions."""
         doc = {
             "schema_version": RESULT_SCHEMA_VERSION,
             "scenario_id": self.scenario_id,
@@ -67,26 +68,46 @@ class RunResult:
             "mobility_enabled": self.mobility_enabled,
             "total_loss": self.total_loss,
             "per_device": {k: self.per_device[k] for k in sorted(self.per_device)},
-            "decisions": encode_decisions(self.decisions),
             "utilization_kw": self.utilization_kw,
         }
         if include_timing:
             doc["slot_wall_s"] = self.slot_wall_s
         return doc
 
+    def to_dict(self, include_timing: bool = True) -> dict:
+        return {**self._header(include_timing), "decisions": encode_decisions(self.decisions)}
+
+    def json_chunks(self, include_timing: bool = True) -> Iterator[str]:
+        """`json.dumps(self.to_dict(include_timing), sort_keys=True,
+        allow_nan=False)` in pieces, one decision row at a time, so the
+        whole document is never held as one string. "decisions" sorts
+        before every other key, so the rows come first; an action code
+        never needs escaping, an id may."""
+        yield '{"decisions": {'
+        sep = ""
+        for dev_id in sorted(self.decisions):
+            codes = encode_row(self.decisions[dev_id])
+            row = '["' + '", "'.join(codes) + '"]' if codes else "[]"
+            yield sep + json.dumps(dev_id) + ": " + row
+            sep = ", "
+        header = json.dumps(self._header(include_timing), sort_keys=True, allow_nan=False)
+        yield "}, " + header[1:]
+
     def canonical_json(self) -> str:
         """Deterministic serialization with environment-dependent timing removed."""
-        return json.dumps(self.to_dict(include_timing=False), sort_keys=True)
+        return "".join(self.json_chunks(include_timing=False))
+
+
+def encode_row(row: Sequence[Action]) -> list[str]:
+    """One decision row in its string form; the only producer of action codes."""
+    # the IDLE singleton fills most of a row; any other action,
+    # another Idle instance included, goes through encode_action
+    return ["I" if a is IDLE else encode_action(a) for a in row]
 
 
 def encode_decisions(decisions: dict[str, list[Action]]) -> dict[str, list[str]]:
     """Every row of a decision matrix in its string form, sorted by device id."""
-    return {
-        # the IDLE singleton fills most of a row; any other action,
-        # another Idle instance included, goes through encode_action
-        k: ["I" if a is IDLE else encode_action(a) for a in decisions[k]]
-        for k in sorted(decisions)
-    }
+    return {k: encode_row(decisions[k]) for k in sorted(decisions)}
 
 
 def decisions_from_dict(doc: dict) -> dict[str, list[Action]]:

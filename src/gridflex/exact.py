@@ -138,8 +138,13 @@ def validate_schedule(
         location = dev.home
         transit: Move | None = None
         landing = 0
+        # an all-Idle prefix up to arrival changes nothing; any other
+        # prefix is walked from slot 0 so check ii sees its first cell (the
+        # count cannot match an arrival below 0 or past the horizon)
+        arrival = dev.arrival_slot
+        start = arrival if row[:arrival].count(IDLE) == arrival else 0
 
-        for t, action in enumerate(row):
+        for t, action in enumerate(row[start:], start):
             if transit is not None:
                 if t < landing:
                     if action == transit:

@@ -582,6 +582,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
             movement=_movement_from_dict(cfg_doc["movement"]),
             beta_max=_number(cfg_doc.get("beta_max", DEFAULT_BETA_MAX), "beta_max"),
         )
+        # one PowerModeSet per distinct level tuple, as the generator
+        # shares one per physical device; it is frozen and compares by value
+        mode_sets: dict[tuple[float, ...], PowerModeSet] = {}
+
+        def modes(levels: tuple[float, ...]) -> PowerModeSet:
+            if levels not in mode_sets:
+                mode_sets[levels] = PowerModeSet(levels)
+            return mode_sets[levels]
+
         devices = tuple(
             DeviceRequest(
                 id=_typed_field(d, "id", str, "a string"),
@@ -591,7 +600,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 initial_energy_kwh=_number(d["initial_energy_kwh"], "initial_energy_kwh"),
                 demand_kwh=_number(d["demand_kwh"], "demand_kwh"),
                 criticality=_number(d["criticality"], "criticality"),
-                modes=PowerModeSet(_numbers(d, "modes_kw")),
+                modes=modes(_numbers(d, "modes_kw")),
                 home=_int_field(d, "home"),
             )
             for d in doc["devices"]

@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .model import (
     DEFAULT_BETA_MAX,
+    IDLE,
     Action,
     DeviceRequest,
     Idle,
@@ -146,7 +147,9 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
     exactly 0, and adding 0.0 changes no sum. So scoring also starts at
     arrival, since a valid row idles before it, and an Idle slot that
     cannot cost (most of a row) is passed over with one type check: it
-    changes no progress either. Only a Move slot goes through
+    changes no progress either. Once a Serve meets the demand and only
+    Idle cells follow (most rows end so), the walk stops: every later
+    slot costs exactly 0. Only a Move slot goes through
     `slot_loss`. Any other late slot has mobility and stationary terms
     of 0.0, so its `LossBreakdown.total` is d + 2.0 * 0.0 + 0.0 == d for
     its deadline term d >= 0; that term is added to `total` and the
@@ -165,6 +168,10 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
         if isinstance(action, Serve):
             delivered = request.modes.power(action.mode_index) * cfg.slot_hours
             progress += min(delivered, max(demand + extra - progress, 0.0))
+            if progress >= demand:
+                rest = row[slot + 1 :]
+                if rest.count(IDLE) == len(rest):
+                    break
         elif moving and (slot == 0 or row[slot - 1] != action):
             extra += cfg.movement.total_cost(action.origin, action.target)
         if not moving:

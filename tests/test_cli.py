@@ -1,13 +1,14 @@
 """CLI subcommands, exit codes, and output idempotence."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from gridflex import engine, workload
 from gridflex.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from gridflex.model import load_scenario, save_scenario
-from gridflex import workload
 
 
 @pytest.fixture()
@@ -123,6 +124,32 @@ class TestRun:
         d1.pop("slot_wall_s")
         d2.pop("slot_wall_s")
         assert d1 == d2
+
+    def test_output_is_the_dumped_result(self, tmp_path, monkeypatch, capsys):
+        # ids that JSON must escape; each output must be the strict, sorted
+        # dump of the result the engine returned, plus a newline
+        micro = workload.micro_instances(1, seed=4, max_devices=4)[0]
+        ids = ['a"b', "c\\d", "t\tb", "é"]
+        devices = tuple(dataclasses.replace(d, id=i) for d, i in zip(micro.devices, ids))
+        assert len(devices) == len(ids)
+        path = tmp_path / "ids.json"
+        save_scenario(dataclasses.replace(micro, devices=devices), path)
+        results, real_run = [], engine.run
+
+        def recording_run(*args, **kwargs):
+            results.append(real_run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(engine, "run", recording_run)
+        out = tmp_path / "result.json"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+        assert main(["run", str(path)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        want = [
+            json.dumps(r.to_dict(), sort_keys=True, allow_nan=False) + "\n" for r in results
+        ]
+        assert [out.read_text(), stdout] == want
+        assert set(json.loads(stdout)["decisions"]) == {d.id for d in devices}
 
     def test_table_format(self, scenario_file, capsys):
         assert main(["run", str(scenario_file), "--format", "table"]) == EXIT_OK

@@ -87,6 +87,46 @@ class TestRun:
         assert "slot_wall_s" in run(congested, "heuristic").to_dict()
 
 
+class TestJsonChunks:
+    """`RunResult.json_chunks` writes the same text as dumping `to_dict`."""
+
+    @staticmethod
+    def result(decisions):
+        return engine.RunResult(
+            scenario_id="chunks",
+            scheduler="heuristic",
+            mobility_enabled=True,
+            total_loss=1.5,
+            per_device={k: {"loss_total": 0.5} for k in decisions},
+            decisions=decisions,
+            utilization_kw=[[1.0, 0.0], [0.5, 2.0]],
+            slot_wall_s=[0.001, 0.002],
+        )
+
+    @pytest.mark.parametrize(
+        "decisions",
+        [
+            {
+                # ids that JSON must escape, in an order `sorted` changes
+                "t\tb": [Serve(2, 1), IDLE],
+                'a"b': [Move(0, 1), Move(0, 1)],
+                "c\\d": [Idle(), Serve(1, 0)],
+                "é": [IDLE, IDLE],
+                "empty": [],
+            },
+            {},
+        ],
+        ids=["escaped-ids", "no-rows"],
+    )
+    @pytest.mark.parametrize("timing", [True, False])
+    def test_chunks_equal_dumped_dict(self, decisions, timing):
+        r = self.result(decisions)
+        want = json.dumps(r.to_dict(timing), sort_keys=True, allow_nan=False)
+        assert "".join(r.json_chunks(timing)) == want
+        if not timing:
+            assert r.canonical_json() == want
+
+
 class TestReplay:
     @pytest.mark.parametrize("scheduler", ["heuristic", "edf", "hp"])
     def test_replay_reproduces_total_exactly(self, congested, scheduler):

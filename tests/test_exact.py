@@ -24,6 +24,7 @@ from gridflex.exact import (
 from gridflex.model import (
     DeviceRequest,
     IDLE,
+    Idle,
     Move,
     MovementMatrix,
     PowerModeSet,
@@ -230,6 +231,39 @@ class TestValidateSchedule:
         report = validate_schedule(decisions, cfg, devs)
         assert not report.checks["ii"].passed
         assert report.checks["i"].passed
+
+    @pytest.mark.parametrize(
+        "arrival, row, failed",
+        [
+            # Idle cells, then a Serve or a Move before arrival
+            (3, [IDLE, Serve(1, 0), IDLE, IDLE, IDLE], {"ii": 1}),
+            (3, [IDLE, IDLE, Move(0, 1), IDLE, IDLE], {"ii": 2}),
+            # a pre-arrival prefix of Idle instances other than the singleton
+            (2, [Idle(), Idle(), Serve(1, 0), IDLE, IDLE], {}),
+            (0, [Serve(1, 0), IDLE, IDLE, IDLE, IDLE], {}),
+            # arrival at the horizon: no cell may act
+            (5, [IDLE] * 5, {}),
+            (5, [IDLE] * 4 + [Serve(1, 0)], {"ii": 4}),
+            # arrival past the horizon is walked from slot 0
+            (6, [IDLE, IDLE, Serve(1, 0), IDLE, IDLE], {"ii": 2}),
+        ],
+        ids=[
+            "serve-early",
+            "move-early",
+            "idle-instances",
+            "arrival-0",
+            "arrival-tau-idle",
+            "arrival-tau-serve",
+            "arrival-past-tau",
+        ],
+    )
+    def test_pre_arrival_prefix(self, arrival, row, failed):
+        cfg = make_cfg(num_aggregators=2, budget=10.0, horizon=5)
+        devs = [make_request("a", [2], 4.0, 5, arrival=arrival, mobile=True)]
+        report = validate_schedule({"a": row}, cfg, devs)
+        assert {c.name: c.witness for c in report.failed()} == {
+            name: ("a", slot) for name, slot in failed.items()
+        }
 
     def test_bad_mode_index_fails(self):
         cfg = make_cfg(horizon=2)

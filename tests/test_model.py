@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from gridflex import workload
 from gridflex.model import (
     MAX_HORIZON_SLOTS,
     DeviceRequest,
@@ -15,6 +16,8 @@ from gridflex.model import (
     ScenarioFormatError,
     SystemConfig,
     UnknownAggregatorError,
+    load_scenario,
+    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate_config,
@@ -232,6 +235,28 @@ class TestScenarioRoundTrip:
         doc = scenario_to_dict(scenario)
         back = scenario_from_dict(doc)
         assert back == scenario
+
+    def test_equal_mode_levels_share_one_set(self):
+        devices = (
+            make_device(id="d0", modes=PowerModeSet((1.0, 2.0))),
+            make_device(id="d1", modes=PowerModeSet((1.0, 2.0))),
+            make_device(id="d2", modes=PowerModeSet((1.0, 3.0))),
+        )
+        doc = scenario_to_dict(Scenario("m", make_config(), devices))
+        doc["devices"][1]["modes_kw"] = [1, 2]  # integers decode to the same levels
+        back = scenario_from_dict(doc)
+        assert back.devices[0].modes is back.devices[1].modes
+        assert back.devices[0].modes is not back.devices[2].modes
+        assert back == Scenario("m", make_config(), devices)
+
+    def test_generated_scenario_round_trips_through_a_file(self, tmp_path):
+        scenario = workload.generate(workload.GenSpec(num_devices=100, seed=3))
+        path = tmp_path / "gen.json"
+        save_scenario(scenario, path)
+        back = load_scenario(path)
+        assert back == scenario
+        # one set object per distinct level tuple
+        assert len({id(d.modes) for d in back.devices}) == len({d.modes for d in back.devices})
 
     def test_missing_field_raises_format_error(self):
         with pytest.raises(ScenarioFormatError):

@@ -205,27 +205,52 @@ def slot_by_slot(request, row, cfg):
     return RowLoss(total, d_sum, m_sum, p_sum)
 
 
+# demand is met at slot 8 (7 slots of 1.5 kWh, capped at 10 kWh); what follows
+_MET = [IDLE] * 2 + [Serve(3, 0)] * 7
+# 10 slots of 1.0 kWh fall 1e-10 kWh short of this demand, inside EPS
+_SHORT_DEMAND = 10.0 + 1e-10
+_SHORT = [Serve(2, 0)] * 10 + [IDLE] * 10
+
+
 class TestRowLoss:
-    """`row_loss` skips the slots that cannot cost and adds a late non-Move
-    slot's deadline term directly; the sums must keep every bit."""
+    """`row_loss` skips the slots that cannot cost, adds a late non-Move
+    slot's deadline term directly and stops at an Idle tail after the
+    demand is met; the sums must keep every bit."""
 
     @pytest.mark.parametrize(
-        "mobile, kappa, row",
+        "mobile, kappa, demand, row",
         [
             # late Idle slots, then late Serve slots, then late Idle again
-            (True, 1.6, [Serve(1, 0)] * 3 + [IDLE] * 5 + [Serve(3, 0)] * 4 + [IDLE] * 8),
+            (True, 1.6, 10.0, [Serve(1, 0)] * 3 + [IDLE] * 5 + [Serve(3, 0)] * 4 + [IDLE] * 8),
             # a two-slot Move (0 -> 2 on the line) that starts late, then service
-            (True, 1.6, [IDLE] * 8 + [Move(0, 2)] * 2 + [Serve(2, 2)] * 6 + [IDLE] * 4),
+            (True, 1.6, 10.0, [IDLE] * 8 + [Move(0, 2)] * 2 + [Serve(2, 2)] * 6 + [IDLE] * 4),
             # a non-mobile Move pays the stationary penalty in its one slot
-            (False, 1.8, [Serve(1, 0)] * 2 + [IDLE] * 5 + [Move(0, 1)] + [Serve(1, 1)] * 12),
+            (False, 1.8, 10.0, [Serve(1, 0)] * 2 + [IDLE] * 5 + [Move(0, 1)] + [Serve(1, 1)] * 12),
             # every late deadline term at the beta_max clamp
-            (True, 1000.0, [Serve(3, 0)] * 2 + [IDLE] * 6 + [Move(0, 1)] + [IDLE] * 11),
+            (True, 1000.0, 10.0, [Serve(3, 0)] * 2 + [IDLE] * 6 + [Move(0, 1)] + [IDLE] * 11),
+            # demand met, then Idle to the end of the row
+            (True, 1.6, 10.0, _MET + [IDLE] * 11),
+            # demand met, then a later Serve (it delivers nothing), then Idle
+            (True, 1.6, 10.0, _MET + [IDLE] * 3 + [Serve(1, 0)] * 2 + [IDLE] * 6),
+            # demand met, then a later Move, whose cost is still charged
+            (True, 1.6, 10.0, _MET + [IDLE] * 3 + [Move(0, 1)] + [IDLE] * 7),
+            # progress ends just short of demand: the late Idle tail still costs
+            (True, 1.6, _SHORT_DEMAND, _SHORT),
         ],
-        ids=["late-idle-and-serve", "two-slot-move", "stationary-move", "clamped"],
+        ids=[
+            "late-idle-and-serve",
+            "two-slot-move",
+            "stationary-move",
+            "clamped",
+            "met-then-idle",
+            "met-then-serve",
+            "met-then-move",
+            "short-of-demand",
+        ],
     )
-    def test_equals_slot_by_slot_sum(self, mobile, kappa, row):
+    def test_equals_slot_by_slot_sum(self, mobile, kappa, demand, row):
         cfg = make_cfg()
-        request = make_request(demand=10.0, deadline=6, kappa=kappa, mobile=mobile)
+        request = make_request(demand=demand, deadline=6, kappa=kappa, mobile=mobile)
         want = slot_by_slot(request, row, cfg)
         assert want.deadline_loss > 0.0
         assert row_loss(request, row, cfg) == want
