@@ -22,9 +22,7 @@ def edf_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceState]:
 
 def hp_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceState]:
     """Largest outstanding demand first; ties by device id."""
-    return sorted(
-        cluster, key=lambda d: (-max(d.target_kwh - d.progress_kwh, 0.0), d.request.id)
-    )
+    return sorted(cluster, key=lambda d: (d.progress_kwh - d.target_kwh, d.request.id))
 
 
 @dataclass(frozen=True)

@@ -141,13 +141,13 @@ def mobility_decision(
     The deadline loss of staying is computed first: a move happens only
     when it exceeds the movement cost, and movement costs are never
     negative, so a device that loses nothing by staying (at or before its
-    deadline, or with its demand met) stays without a scan. Otherwise the
-    candidates are aggregators whose residual capacity after this slot's
-    scheduling is one the device could actually draw on (at least its
-    lowest mode) and whose transit completes within the horizon. Among
-    the affordable ones (total movement cost within on-board energy) the
-    cheapest wins, and the move happens only when the deadline loss of
-    staying exceeds its cost.
+    deadline, or with a deficit within `EPS`) stays without a scan.
+    Otherwise the candidates are aggregators whose residual capacity after
+    this slot's scheduling is one the device could actually draw on (at
+    least its lowest mode) and whose transit completes within the
+    horizon. Among the affordable ones (total movement cost within
+    on-board energy) the cheapest wins, and the move happens only when
+    the deadline loss of staying exceeds its cost.
 
     `run_horizon` calls this only for the devices it can move (mobile,
     unserved, with a deficit and past the deadline); the checks here stay
@@ -235,8 +235,8 @@ def run_horizon(
     residuals the aggregator phase left and its own state, so the order
     of the pass changes nothing. A departing device leaves the
     live set until it lands. A device leaves it for good once it is
-    `completed` and has progress >= `demand_kwh`: from then on its action
-    is Idle and its slot loss is exactly 0, so its row is already final.
+    `completed`: from then on its action is Idle and its slot loss is
+    exactly 0, so its row is already final.
     Work per slot is therefore proportional to live devices, not to every
     request that has arrived.
     """
@@ -285,13 +285,10 @@ def run_horizon(
                 delivered = req.modes.power(action.mode_index) * cfg.slot_hours
                 # the deficit, read from the fields: a served device's exceeds EPS
                 st.progress_kwh += min(delivered, st.target_kwh - st.progress_kwh)
-            # the deficit against `target_kwh`, as `completed` reads it
+            # `completed`, read from the fields: the row is final
             if st.target_kwh - st.progress_kwh <= EPS:
-                # retired only with progress >= demand as well: `completed`
-                # allows an EPS shortfall that the deadline term still charges
-                if req.demand_kwh - st.progress_kwh <= 0.0:
-                    continue
-            elif action is None and mobility_enabled and req.mobile and t > req.deadline_slot:
+                continue
+            if action is None and mobility_enabled and req.mobile and t > req.deadline_slot:
                 move = mobility_decision(st, aggs, cfg.movement, t, tau, cfg.beta_max)
                 if move is not None:
                     # the transit lands by slot tau - 1: mobility_decision

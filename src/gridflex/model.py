@@ -299,16 +299,18 @@ class DeviceState:
     """Mutable runtime state of one device during a horizon run.
 
     `aggregator` is the cluster the device is at or, while a transit is
-    under way, the cluster the transit lands at. `extra_demand_kwh` is the movement energy the grid must re-supply on
-    top of the demanded energy; it is committed in full when a move
-    starts. `target_kwh` is the total energy the device still intends to
-    draw over the horizon, `request.demand_kwh + extra_demand_kwh`: it is
-    a stored field, set at construction and set again by whoever changes
-    `extra_demand_kwh` (the horizon loop, when a transit starts), so the
-    slot loop reads it without recomputing it. `progress_kwh` counts all
-    energy delivered and is capped at `target_kwh`. The state holds no
-    loss: a device's loss is scored from its finished decision row
-    (`utility.row_loss`).
+    under way, the cluster the transit lands at. `extra_demand_kwh` is
+    the movement energy the grid must re-supply on top of the demanded
+    energy; it is committed in full when a move starts. `target_kwh` is
+    the total energy the device still intends to draw over the horizon,
+    `request.demand_kwh + extra_demand_kwh`: it is a stored field, set at
+    construction and set again by whoever changes `extra_demand_kwh` (the
+    horizon loop, when a transit starts), so the slot loop reads it
+    without recomputing it. `progress_kwh` counts all energy delivered
+    and is capped at `target_kwh`. `completed`, a deficit within `EPS`,
+    is the one rule for met: such a device is never served and pays no
+    deadline term. The state holds no loss: a device's loss is scored
+    from its finished decision row (`utility.row_loss`).
     """
 
     request: DeviceRequest
@@ -568,10 +570,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
-        if doc["schema_version"] != SCENARIO_SCHEMA_VERSION:
+        version = _int_field(doc, "schema_version")
+        if version != SCENARIO_SCHEMA_VERSION:
             raise ScenarioFormatError(
-                f"unsupported schema_version {doc['schema_version']!r}"
-                f" (expected {SCENARIO_SCHEMA_VERSION})"
+                f"unsupported schema_version {version!r} (expected {SCENARIO_SCHEMA_VERSION})"
             )
         cfg_doc = doc["config"]
         cfg = SystemConfig(

@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .model import (
     DEFAULT_BETA_MAX,
+    EPS,
     IDLE,
     Action,
     DeviceRequest,
@@ -60,13 +61,13 @@ def deadline_loss(
 ) -> float:
     """Loss charged in one slot past the deadline with demand outstanding.
 
-    Zero through the deadline slot and once the demand is met; afterwards
-    deficit * exp(criticality * slots_late), clamped at `beta_max`.
+    Zero through the deadline slot and once the deficit is within `EPS`;
+    afterwards deficit * exp(criticality * slots_late), clamped at `beta_max`.
     """
     if slot <= deadline_slot:
         return 0.0
     deficit = demand_kwh - progress_kwh
-    if deficit <= 0.0:
+    if deficit <= EPS:
         return 0.0
     arg = criticality * (slot - deadline_slot)
     if arg > _EXP_ARG_LIMIT:
@@ -143,7 +144,7 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
     committing its full cost when it starts), so a row scored here is
     bit-identical whether it came from the engine or from elsewhere.
     Only slots that can cost something are scored: a Move, or a slot past
-    the deadline with demand outstanding. Every term of any other slot is
+    the deadline with a deficit above `EPS`. Every term of any other slot is
     exactly 0, and adding 0.0 changes no sum. So scoring also starts at
     arrival, since a valid row idles before it, and an Idle slot that
     cannot cost (most of a row) is passed over with one type check: it
@@ -162,20 +163,20 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
     total = d_sum = m_sum = p_sum = 0.0
     for slot in range(max(request.arrival_slot, 0), len(row)):
         action = row[slot]
-        if type(action) is Idle and (slot <= deadline or progress >= demand):
+        if type(action) is Idle and (slot <= deadline or demand - progress <= EPS):
             continue
         moving = isinstance(action, Move)
         if isinstance(action, Serve):
             delivered = request.modes.power(action.mode_index) * cfg.slot_hours
             progress += min(delivered, max(demand + extra - progress, 0.0))
-            if progress >= demand:
+            if demand - progress <= EPS:
                 rest = row[slot + 1 :]
                 if rest.count(IDLE) == len(rest):
                     break
         elif moving and (slot == 0 or row[slot - 1] != action):
             extra += cfg.movement.total_cost(action.origin, action.target)
         if not moving:
-            if slot > deadline and progress < demand:
+            if slot > deadline:
                 d = deadline_loss(
                     progress, demand, slot, deadline, request.criticality, cfg.beta_max
                 )

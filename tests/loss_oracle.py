@@ -12,6 +12,8 @@ import mpmath
 from gridflex.model import Move, Serve
 
 REL = 1e-9
+# a deficit at or below this many kWh is met, as `DeviceState.completed` reads it
+MET_KWH = 1e-9
 
 
 def oracle_row(dev, row, cfg):
@@ -22,8 +24,8 @@ def oracle_row(dev, row, cfg):
     energy committed so far; a transit commits delay x per-slot cost when
     it starts and charges 2x its per-slot cost every slot it lasts; a
     non-mobile device pays beta_max per slot spent moving between
-    clusters; a slot past the deadline with demand outstanding pays
-    deficit * e^(criticality * slots late), at most beta_max.
+    clusters; a slot past the deadline with more than MET_KWH outstanding
+    pays deficit * e^(criticality * slots late), at most beta_max.
     """
     mpf = mpmath.mpf
     beta_max = mpf(cfg.beta_max)
@@ -40,7 +42,7 @@ def oracle_row(dev, row, cfg):
             mobility += 2 * mpf(edge.cost_kwh_per_slot)
             if not dev.mobile and action.origin != action.target:
                 stationary += beta_max
-        if slot > dev.deadline_slot and progress < demand:
+        if slot > dev.deadline_slot and demand - progress > MET_KWH:
             late = slot - dev.deadline_slot
             deficit = demand - progress
             deadline += min(deficit * mpmath.exp(mpf(dev.criticality) * late), beta_max)

@@ -256,11 +256,13 @@ class TestMalformedInput:
         self.assert_rejected(["run", str(bad)], capsys)
 
     def test_run_unknown_schema_version(self, tmp_path, scenario_file, capsys):
+        # `true` is not the integer 1
         doc = json.loads(scenario_file.read_text())
-        doc["schema_version"] = 99
-        bad = tmp_path / "v99.json"
-        bad.write_text(json.dumps(doc))
-        self.assert_rejected(["run", str(bad)], capsys)
+        for version in (99, True):
+            doc["schema_version"] = version
+            bad = tmp_path / f"v{version}.json"
+            bad.write_text(json.dumps(doc))
+            self.assert_rejected(["run", str(bad)], capsys)
 
     @pytest.mark.parametrize(
         "path",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gridflex import engine, heuristic, utility, workload
+from gridflex import engine, heuristic, workload
 from gridflex.baselines import edf_rank, hp_rank
 from gridflex.heuristic import (
     heuristic_rank,
@@ -483,22 +483,33 @@ class TestLiveSet:
         assert st.extra_demand_kwh == cfg.movement.total_cost(0, 2)
         assert_replay_matches(cfg, devs, result)
 
-    def test_shortfall_within_eps_keeps_paying_deadline_loss(self):
-        # one slot delivers 1.0 kWh: `completed` holds (shortfall 5e-10 <= EPS),
-        # but the deadline term still charges the shortfall every later slot
+    def test_shortfall_within_eps_is_met(self, monkeypatch):
+        # one slot delivers 1.0 kWh: the shortfall 5e-10 is within EPS, so the
+        # demand is met; the device retires and its late slots cost nothing
+        members = record_cluster_members(monkeypatch)
         cfg = make_cfg(horizon=6)
-        demand = 1.0 + 5e-10
-        devs = [make_request("a", [2], demand=demand, deadline=1)]
+        devs = [make_request("a", [2], demand=1.0 + 5e-10, deadline=1)]
         result = run_horizon(cfg, devs)
         assert rows_of(result) == {"a": ["S:1:0"] + ["I"] * 5}
+        assert members == [("a", 0)]
         st = result.states["a"]
         assert st.completed and st.progress_kwh == 1.0
-        expected = 0.0
-        for t in range(6):
-            expected += utility.deadline_loss(1.0, demand, t, 1, 1.6)
-        assert expected > 0.0
-        assert result.losses["a"].deadline_loss == expected
+        assert result.losses["a"].deadline_loss == 0.0
+        assert result.total_loss == 0.0
         assert_replay_matches(cfg, devs, result)
+
+    def test_demand_within_eps_is_met_on_arrival(self, monkeypatch):
+        # a 5e-10 kWh request is met before any service: it is never served,
+        # leaves the live set in its arrival slot and costs nothing
+        members = record_cluster_members(monkeypatch)
+        cfg = make_cfg(horizon=50)
+        devs = [make_request("a", [2], demand=5e-10, deadline=1, kappa=2.0)]
+        result = engine.run(Scenario("tiny", cfg, tuple(devs)))
+        assert rows_of(result) == {"a": ["I"] * 50}
+        assert members == [("a", 0)]
+        assert result.per_device["a"]["completed"] is True
+        assert result.total_loss == 0.0
+        assert oracle_mismatches(devs, cfg, result.decisions, result.per_device) == []
 
     def test_retired_device_stays_idle_to_horizon_end(self):
         # "a" finishes in slot 0 and retires; a mobile finisher and a later
@@ -536,21 +547,15 @@ def live_device_slots(cfg, devices, result):
     """Slots from arrival to retirement that a device spends at a cluster,
     derived from the outputs alone.
 
-    A device that ends at a cluster, completed, with progress >= demand
-    retires in its last non-idle slot; any other device stays live to
-    the end of the horizon. A transit's first slot is spent at the origin
-    cluster; its later slots (the same Move repeated) at none.
+    A device that ends at a cluster, completed, retires in its last
+    non-idle slot; any other device stays live to the end of the horizon.
+    A transit's first slot is spent at the origin cluster; its later slots
+    (the same Move repeated) at none.
     """
     total = 0
     for dev in devices:
-        st = result.states[dev.id]
         row = result.decisions[dev.id]
-        retires = (
-            not isinstance(row[-1], Move)
-            and st.completed
-            and dev.demand_kwh - st.progress_kwh <= 0.0
-        )
-        if retires:
+        if result.states[dev.id].completed and not isinstance(row[-1], Move):
             last = max(t for t, action in enumerate(row) if not isinstance(action, Idle))
         else:
             last = len(row) - 1
@@ -642,11 +647,8 @@ class TestWorkProportionalToLiveSet:
             make_request("d", [2], demand=1.0, deadline=10, arrival=9),
         ]
         result = run_horizon(cfg, devs)
-        assert sorted(calls) == (
-            [("a", 0), ("b", 2), ("b", 3)]
-            + [("c", t) for t in range(4, 10)]
-            + [("d", 9)]
-        )
+        # "c" is met within EPS by its one slot of service and retires there
+        assert sorted(calls) == [("a", 0), ("b", 2), ("b", 3), ("c", 4), ("d", 9)]
         assert len(calls) == live_device_slots(cfg, devs, result)
 
     def test_generated_scenario_calls_match_live_device_slots(self, monkeypatch):

@@ -267,9 +267,14 @@ class TestScenarioRoundTrip:
         doc["schema_version"] = 99
         with pytest.raises(ScenarioFormatError, match="schema_version 99"):
             scenario_from_dict(doc)
+        # `true` is not the integer 1
+        doc["schema_version"] = True
+        with pytest.raises(ScenarioFormatError, match="schema_version must be an integer"):
+            scenario_from_dict(doc)
 
     def test_integral_float_decodes_to_int(self):
         doc = scenario_to_dict(Scenario("f", make_config(), (make_device(),)))
+        doc["schema_version"] = 1.0
         doc["devices"][0]["deadline_slot"] = 12.0
         doc["config"]["movement"]["pairs"][0]["delay_slots"] = 1.0
         back = scenario_from_dict(doc)

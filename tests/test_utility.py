@@ -8,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 from gridflex.model import (
     DEFAULT_BETA_MAX,
+    EPS,
     DeviceRequest,
     DeviceState,
     IDLE,
@@ -73,6 +74,11 @@ class TestDeadlineLoss:
 
     def test_zero_when_fully_served(self):
         assert deadline_loss(10.0, 10.0, 9, 6, 1.6) == 0.0
+
+    def test_deficit_within_eps_is_met(self):
+        # the one threshold for met, as `DeviceState.completed` reads it
+        assert deadline_loss(0.0, EPS, 9, 6, 1.6) == 0.0
+        assert deadline_loss(0.0, 2 * EPS, 9, 6, 1.6) > 0.0
 
     def test_closed_form_two_slots_late(self):
         # deficit 6, criticality 1.6, two slots late: 6 * e^3.2
@@ -207,7 +213,7 @@ def slot_by_slot(request, row, cfg):
 
 # demand is met at slot 8 (7 slots of 1.5 kWh, capped at 10 kWh); what follows
 _MET = [IDLE] * 2 + [Serve(3, 0)] * 7
-# 10 slots of 1.0 kWh fall 1e-10 kWh short of this demand, inside EPS
+# 10 slots of 1.0 kWh fall 1e-10 kWh short of this demand, inside EPS: met
 _SHORT_DEMAND = 10.0 + 1e-10
 _SHORT = [Serve(2, 0)] * 10 + [IDLE] * 10
 
@@ -234,7 +240,7 @@ class TestRowLoss:
             (True, 1.6, 10.0, _MET + [IDLE] * 3 + [Serve(1, 0)] * 2 + [IDLE] * 6),
             # demand met, then a later Move, whose cost is still charged
             (True, 1.6, 10.0, _MET + [IDLE] * 3 + [Move(0, 1)] + [IDLE] * 7),
-            # progress ends just short of demand: the late Idle tail still costs
+            # progress ends within EPS of demand: met, so the late Idle tail is free
             (True, 1.6, _SHORT_DEMAND, _SHORT),
         ],
         ids=[
