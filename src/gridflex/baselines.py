@@ -21,7 +21,8 @@ def edf_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceState]:
 
 
 def hp_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceState]:
-    """Largest outstanding demand first; ties by device id."""
+    """Largest deficit against `target_kwh` (demand plus the movement
+    extra) first; ties by device id."""
     return sorted(cluster, key=lambda d: (d.progress_kwh - d.target_kwh, d.request.id))
 
 

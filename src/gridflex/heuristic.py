@@ -41,8 +41,10 @@ _BY_ID = attrgetter("request.id")
 
 
 def heuristic_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceState]:
-    """Descending by urgency score; ties by higher criticality, then
-    smaller minimum mode, then id, so the order is total."""
+    """Descending by urgency score, `priority` of the deficit against
+    `target_kwh` (demand plus the movement extra); ties by higher
+    criticality, then smaller minimum mode, then id, so the order is
+    total."""
 
     def key(d: DeviceState) -> tuple[float, float, float, str]:
         req = d.request
@@ -138,13 +140,14 @@ def mobility_decision(
 ) -> Move | None:
     """Device-side choice to migrate after going unserved this slot.
 
-    The deadline loss of staying is computed first: a move happens only
-    when it exceeds the movement cost, and movement costs are never
-    negative, so a device that loses nothing by staying (at or before its
-    deadline, or with a deficit within `EPS`) stays without a scan.
-    Otherwise the candidates are aggregators whose residual capacity after
-    this slot's scheduling is one the device could actually draw on (at
-    least its lowest mode) and whose transit completes within the
+    The deadline loss of staying is computed first, on `demand_kwh`
+    without the movement extra: a move happens only when it exceeds the
+    movement cost, and movement costs are never negative, so a device
+    that loses nothing by staying (at or before its deadline, or with a
+    deficit within `EPS`) stays without a scan. Otherwise the candidates
+    are aggregators whose residual capacity after this slot's scheduling,
+    `max(budget - committed, 0)`, is one the device could actually draw
+    on (at least its lowest mode) and whose transit completes within the
     horizon. Among the affordable ones (total movement cost within
     on-board energy) the cheapest wins, and the move happens only when
     the deadline loss of staying exceeds its cost.
@@ -216,29 +219,20 @@ def run_horizon(
     unserved devices weigh a move against the residual capacity left.
 
     Purely online: slot-t decisions see only devices with arrival <= t.
-    Movement departs in the deciding slot: the whole transit, that slot
-    and each one after it until the edge's delay is spent, is written into
-    the device's row at once, and the device re-arrives at the target in
-    its landing slot exactly as a new arrival joins. Once the last slot
-    is done, each device's finished row is scored by `utility.row_loss`.
-
-    Each slot visits only the live set, kept in device-id order: devices
-    that are at a cluster and can still cost something. Arrivals and
-    landings join it in their slot. The aggregator phase only decides:
-    each cluster's `schedule_slot` answer is collected, and nothing else
-    changes. One pass over the live set then makes the device phase and
-    builds the next live set. A served device writes its Serve cell and
-    draws the slot's energy; an unserved one keeps the Idle row fill.
-    Only an unserved mobile device past its deadline and with a deficit
-    is offered to `mobility_decision`: for any other device staying costs
-    nothing, so it would stay. Every device's choice reads only the
-    residuals the aggregator phase left and its own state, so the order
-    of the pass changes nothing. A departing device leaves the
-    live set until it lands. A device leaves it for good once it is
-    `completed`: from then on its action is Idle and its slot loss is
-    exactly 0, so its row is already final.
-    Work per slot is therefore proportional to live devices, not to every
-    request that has arrived.
+    Each aggregator's cluster is one list, in id order, kept across
+    slots; a device joins it in its arrival slot. The aggregator phase
+    only collects each cluster's `schedule_slot` answer. One pass per
+    cluster then applies that answer and rebuilds the list: a served
+    device writes its Serve cell and draws the slot's energy, an unserved
+    one keeps the Idle row fill. Only an unserved mobile device past its
+    deadline and with a deficit is offered to `mobility_decision`; staying
+    costs any other nothing. Offers read only the residuals the aggregator
+    phase left, so the order of the pass changes nothing. A departing
+    device writes its whole transit into its row and joins the target's
+    cluster in its landing slot, as an arrival does. A `completed` device
+    leaves for good: its row is final. Work per slot thus follows the
+    cluster sizes, not every request that has arrived. Finished rows are
+    scored by `utility.row_loss`.
     """
     tau = cfg.horizon_slots
     ordered = sorted(devices, key=lambda d: d.id)
@@ -253,55 +247,54 @@ def run_horizon(
     for d in ordered:
         if d.arrival_slot < tau:
             arrivals[max(d.arrival_slot, 0)].append(states[d.id])
-    live: list[DeviceState] = []
+    clusters: list[list[DeviceState]] = [[] for _ in aggs]
 
     for t in range(tau):
         t0 = time.perf_counter()
 
-        if arrivals[t]:
-            # a few sorted runs (landings follow the first arrivals): the
-            # sort merges them and keeps every cluster in id order
-            live.extend(arrivals[t])
-            live.sort(key=_BY_ID)
-
-        clusters: list[list[DeviceState]] = [[] for _ in aggs]
-        for st in live:
+        for st in arrivals[t]:
             clusters[st.aggregator].append(st)
+        # arrivals and landings join as a few id-ordered runs; the sort
+        # merges them and keeps each grown cluster in id order
+        for j in {st.aggregator for st in arrivals[t]}:
+            clusters[j].sort(key=_BY_ID)
 
         # aggregator phase: independent per cluster, a decision only
-        served: dict[str, Serve] = {}
-        for agg, cluster in zip(aggs, clusters):
-            served.update(schedule_slot(agg, cluster, t, cfg.slot_hours, rank_fn))
+        answers = [
+            schedule_slot(agg, cluster, t, cfg.slot_hours, rank_fn)
+            for agg, cluster in zip(aggs, clusters)
+        ]
 
-        # device phase, one pass: served devices draw their slot's energy,
-        # late unserved mobile devices may depart this slot, and devices
-        # whose rows are final leave the live set
-        next_live: list[DeviceState] = []
-        for st in live:
-            req = st.request
-            action = served.get(req.id)
-            if action is not None:
-                decisions[req.id][t] = action
-                delivered = req.modes.power(action.mode_index) * cfg.slot_hours
-                # the deficit, read from the fields: a served device's exceeds EPS
-                st.progress_kwh += min(delivered, st.target_kwh - st.progress_kwh)
-            # `completed`, read from the fields: the row is final
-            if st.target_kwh - st.progress_kwh <= EPS:
-                continue
-            if action is None and mobility_enabled and req.mobile and t > req.deadline_slot:
-                move = mobility_decision(st, aggs, cfg.movement, t, tau, cfg.beta_max)
-                if move is not None:
-                    # the transit lands by slot tau - 1: mobility_decision
-                    # offers no later one
-                    delay = cfg.movement.option(move.origin, move.target).delay_slots
-                    decisions[req.id][t : t + delay] = [move] * delay
-                    st.aggregator = move.target
-                    arrivals[t + delay].append(st)
-                    st.extra_demand_kwh += cfg.movement.total_cost(move.origin, move.target)
-                    st.target_kwh = req.demand_kwh + st.extra_demand_kwh
+        # device phase, one pass per cluster: served devices draw their
+        # slot's energy, late unserved mobile devices may depart this slot,
+        # and the devices that stay keep their place in the cluster
+        for cluster, served in zip(clusters, answers):
+            staying: list[DeviceState] = []
+            for st in cluster:
+                req = st.request
+                action = served.get(req.id)
+                if action is not None:
+                    decisions[req.id][t] = action
+                    delivered = req.modes.power(action.mode_index) * cfg.slot_hours
+                    # the deficit, read from the fields: a served device's exceeds EPS
+                    st.progress_kwh += min(delivered, st.target_kwh - st.progress_kwh)
+                # `completed`, read from the fields: the row is final
+                if st.target_kwh - st.progress_kwh <= EPS:
                     continue
-            next_live.append(st)
-        live = next_live
+                if action is None and mobility_enabled and req.mobile and t > req.deadline_slot:
+                    move = mobility_decision(st, aggs, cfg.movement, t, tau, cfg.beta_max)
+                    if move is not None:
+                        # the transit lands by slot tau - 1: mobility_decision
+                        # offers no later one
+                        delay = cfg.movement.option(move.origin, move.target).delay_slots
+                        decisions[req.id][t : t + delay] = [move] * delay
+                        st.aggregator = move.target
+                        arrivals[t + delay].append(st)
+                        st.extra_demand_kwh += cfg.movement.total_cost(move.origin, move.target)
+                        st.target_kwh = req.demand_kwh + st.extra_demand_kwh
+                        continue
+                staying.append(st)
+            cluster[:] = staying
 
         committed.append([agg.committed_kw for agg in aggs])
         slot_wall.append(time.perf_counter() - t0)

@@ -149,18 +149,19 @@ class TestAcceptance:
     def test_5_per_slot_runtime(self):
         """Per-slot scheduling stays under 10 ms at 100 devices and scales
         sub-2.5x when the device count doubles."""
-        def median_slot_ms(count: int) -> float:
-            scenario = workload.generate(
+        scenarios = {
+            count: workload.generate(
                 GenSpec(num_devices=count, class_combo=("L", "L", "M", "M", "H"), seed=3)
             )
-            samples = []
-            for _ in range(3):
-                result = engine.run(scenario, "heuristic")
-                samples.extend(result.slot_wall_s)
-            return statistics.median(samples) * 1000.0
-
-        ms_100 = median_slot_ms(100)
-        ms_200 = median_slot_ms(200)
+            for count in (100, 200)
+        }
+        samples: dict[int, list[float]] = {100: [], 200: []}
+        # the two sizes alternate, so load from other jobs on the host
+        # lands on both sides of the ratio alike
+        for _ in range(3):
+            for count, scenario in scenarios.items():
+                samples[count].extend(engine.run(scenario, "heuristic").slot_wall_s)
+        ms_100, ms_200 = (statistics.median(samples[c]) * 1000.0 for c in (100, 200))
         ratio = ms_200 / ms_100
         report(
             5,

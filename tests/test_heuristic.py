@@ -431,8 +431,9 @@ def assert_replay_matches(cfg, devs, result):
 
 
 class TestLiveSet:
-    """Boundaries of the horizon loop's live set: who joins it, and when
-    a device may leave it without changing any output."""
+    """Boundaries of the horizon loop's clusters, the devices still live:
+    who joins one, and when a device may leave it without changing any
+    output."""
 
     def test_arrival_in_last_slot_is_scheduled(self):
         cfg = make_cfg(horizon=6)
@@ -500,7 +501,7 @@ class TestLiveSet:
 
     def test_demand_within_eps_is_met_on_arrival(self, monkeypatch):
         # a 5e-10 kWh request is met before any service: it is never served,
-        # leaves the live set in its arrival slot and costs nothing
+        # leaves its cluster in its arrival slot and costs nothing
         members = record_cluster_members(monkeypatch)
         cfg = make_cfg(horizon=50)
         devs = [make_request("a", [2], demand=5e-10, deadline=1, kappa=2.0)]

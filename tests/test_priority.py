@@ -1,8 +1,10 @@
-"""Priority score and the heuristic's ranking tie-breaks."""
+"""Priority score, the heuristic's ranking tie-breaks, and the total
+order of every ranking function."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gridflex.baselines import edf_rank, hp_rank
 from gridflex.heuristic import heuristic_rank
 from gridflex.model import DeviceRequest, DeviceState, PowerModeSet
 from gridflex.priority import priority
@@ -67,8 +69,8 @@ def state(dev_id, progress=0.0, deadline=SLOT, kappa=1.6, min_mode=1.0):
     return st
 
 
-def ranked_ids(states):
-    return [d.request.id for d in heuristic_rank(states, SLOT)]
+def ranked_ids(states, rank_fn=heuristic_rank):
+    return [d.request.id for d in rank_fn(states, SLOT)]
 
 
 class TestRank:
@@ -93,6 +95,11 @@ class TestRank:
         ]
         assert ranked_ids(states) == ["a", "c", "b"]
 
+    # the horizon loop's clusters may hold their members in any order, so
+    # every ranking function must be a total order
+    @pytest.mark.parametrize(
+        "rank_fn", [heuristic_rank, edf_rank, hp_rank], ids=lambda f: f.__name__
+    )
     @given(
         st.lists(
             st.tuples(
@@ -105,11 +112,11 @@ class TestRank:
         ),
         st.randoms(),
     )
-    def test_order_independent_of_input_permutation(self, raw, rnd):
+    def test_order_independent_of_input_permutation(self, rank_fn, raw, rnd):
         states = [
             state(f"d{i:02d}", progress, deadline, kappa, mode)
             for i, (progress, deadline, kappa, mode) in enumerate(raw)
         ]
         shuffled = states[:]
         rnd.shuffle(shuffled)
-        assert ranked_ids(states) == ranked_ids(shuffled)
+        assert ranked_ids(states, rank_fn) == ranked_ids(shuffled, rank_fn)
