@@ -162,8 +162,11 @@ def run(
 
     report = exact.validate_schedule(horizon.decisions, scenario.config, list(scenario.devices))
     if not report.all_pass:
+        witnesses = "; ".join(
+            f"({c.name}) device={c.witness[0]} slot={c.witness[1]}" for c in report.failed()
+        )
         raise InfeasibleRunError(
-            f"scheduler {scheduler} produced an infeasible schedule:\n{report.summary()}"
+            f"scheduler {scheduler} produced an infeasible schedule: {witnesses}"
         )
 
     per_device = {}

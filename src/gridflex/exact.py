@@ -205,7 +205,7 @@ def validate_schedule(
             checks["vi"].record(dev_id, tau - 1)
 
     for (t, j), total in sorted(load.items()):
-        if total > cfg.budget(j) + _BUDGET_TOL:
+        if total > cfg.budgets_kw[j] + _BUDGET_TOL:
             overloaded = [
                 dev_id
                 for dev_id in sorted(decisions)

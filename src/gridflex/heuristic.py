@@ -237,7 +237,9 @@ def run_horizon(
     tau = cfg.horizon_slots
     ordered = sorted(devices, key=lambda d: d.id)
     states = {d.id: DeviceState(request=d, aggregator=d.home) for d in ordered}
-    aggs = [AggregatorState(index=j, budget_kw=cfg.budget(j)) for j in range(cfg.num_aggregators)]
+    aggs = [
+        AggregatorState(index=j, budget_kw=cfg.budgets_kw[j]) for j in range(cfg.num_aggregators)
+    ]
     decisions: dict[str, list[Action]] = {d.id: [IDLE] * tau for d in ordered}
     committed: list[list[float]] = []
     slot_wall: list[float] = []

@@ -59,36 +59,13 @@ class MovementMatrix:
     """Directed movement options between every ordered aggregator pair.
 
     The diagonal is pinned to (0, 0); off-diagonal entries must have a
-    delay of at least one slot and a non-negative per-slot cost. Lookup
-    is total over valid aggregator indices.
+    delay of at least one slot and a non-negative per-slot cost. Those
+    values are checked by `validate_config`, not at construction, as for
+    `PowerModeSet`. Lookup is total over valid aggregator indices.
     """
 
     num_aggregators: int
     table: tuple[tuple[MovementOption, ...], ...]
-
-    def __post_init__(self):
-        if self.num_aggregators < 1:
-            raise ScenarioFormatError("movement matrix needs >= 1 aggregator")
-        if len(self.table) != self.num_aggregators:
-            raise ScenarioFormatError("movement matrix row count mismatch")
-        for i, row in enumerate(self.table):
-            if len(row) != self.num_aggregators:
-                raise ScenarioFormatError("movement matrix column count mismatch")
-            for j, opt in enumerate(row):
-                if i == j:
-                    if opt.delay_slots != 0 or opt.cost_kwh_per_slot != 0.0:
-                        raise ScenarioFormatError(
-                            f"movement matrix diagonal ({i},{j}) must be (0, 0)"
-                        )
-                else:
-                    if opt.delay_slots < 1:
-                        raise ScenarioFormatError(
-                            f"movement delay {i}->{j} must be >= 1 slot"
-                        )
-                    if opt.cost_kwh_per_slot < 0:
-                        raise ScenarioFormatError(
-                            f"movement cost {i}->{j} must be >= 0"
-                        )
 
     def _check(self, aggregator: int) -> None:
         if not 0 <= aggregator < self.num_aggregators:
@@ -273,11 +250,6 @@ class SystemConfig:
     movement: MovementMatrix
     beta_max: float = DEFAULT_BETA_MAX
 
-    def budget(self, aggregator: int) -> float:
-        if not 0 <= aggregator < self.num_aggregators:
-            raise UnknownAggregatorError(f"unknown aggregator id {aggregator}")
-        return self.budgets_kw[aggregator]
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -390,11 +362,26 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
         out.append(Violation(None, "movement", "matrix size matches aggregator count"))
     config_floats = [("slot_hours", cfg.slot_hours), ("beta_max", cfg.beta_max)]
     config_floats += [(f"budgets_kw[{j}]", b) for j, b in enumerate(cfg.budgets_kw)]
-    config_floats += [
-        (f"movement[{i}][{j}].cost_kwh_per_slot", opt.cost_kwh_per_slot)
-        for i, row in enumerate(cfg.movement.table)
-        for j, opt in enumerate(row)
-    ]
+
+    # `MovementMatrix._build` makes every decoded and generated table
+    # n x n with a (0, 0) diagonal; a table built by hand may be neither
+    table = cfg.movement.table
+    n = cfg.movement.num_aggregators
+    square = len(table) == n and all(len(row) == n for row in table)
+    zero_diagonal = square and all(table[i][i] == MovementOption(0, 0.0) for i in range(n))
+    if not zero_diagonal:
+        out.append(Violation(None, "movement", "n x n table with a (0, 0) diagonal"))
+    for i, row in enumerate(table):
+        for j, opt in enumerate(row):
+            name = f"movement[{i}][{j}]"
+            config_floats.append((f"{name}.cost_kwh_per_slot", opt.cost_kwh_per_slot))
+            if i == j:
+                continue
+            if opt.delay_slots < 1:
+                out.append(Violation(None, f"{name}.delay_slots", "delay >= 1 slot"))
+            if opt.cost_kwh_per_slot < 0:
+                out.append(Violation(None, f"{name}.cost_kwh_per_slot", "cost >= 0"))
+
     finite_config = all(math.isfinite(value) for _, value in config_floats)
     out.extend(
         Violation(None, name, "finite") for name, value in config_floats
@@ -448,7 +435,7 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
     # paid the beta_max clamp twice (deadline term and stationary penalty)
     # and the dearest per-slot move cost, weighted 2x
     if finite_config:
-        dearest = max(opt.cost_kwh_per_slot for row in cfg.movement.table for opt in row)
+        dearest = max((opt.cost_kwh_per_slot for row in table for opt in row), default=0.0)
         device_slots = len(devices) * max(cfg.horizon_slots, 0)
         if not math.isfinite(2.0 * (device_slots * cfg.beta_max + device_slots * dearest)):
             out.append(Violation(None, "beta_max", "worst-case total loss finite"))

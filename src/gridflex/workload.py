@@ -228,12 +228,10 @@ def generate(spec: GenSpec) -> Scenario:
             kwh / (SLOT_HOURS * (w[1] - w[0]))
             for (w, kwh) in zip(draft.windows, draft.demands)
         )
+        # never None: each share is capped 0.01 kWh below what the top pool
+        # mode delivers in its window, and rounding to 0.01 kWh adds at
+        # most 0.005, so the need stays below that mode
         modes = _draw_modes(rng, need)
-        if modes is None:
-            raise GenerationError(
-                f"device d{draft.device_index:03d} needs {need:.2f} kW, "
-                "no pool mode fits"
-            )
         initial = round(float(rng.uniform(0.5, 1.5)), 2) if draft.mobile else 0.0
         for inst, ((start, end), kwh) in enumerate(zip(draft.windows, draft.demands)):
             devices.append(

@@ -137,10 +137,10 @@ def reference_rows(cfg, requests, scheduler, mobility):
         for j in range(cfg.num_aggregators):
             cluster = [d for d in present if d.at == j and d.deficit > EPS]
             ranked = sorted(cluster, key=lambda d: key(d, t))
-            modes, residual = serve_cluster(ranked, cfg.budget(j), cfg.slot_hours)
+            modes, residual = serve_cluster(ranked, cfg.budgets_kw[j], cfg.slot_hours)
             served.update(modes)
-            committed = cfg.budget(j) - residual
-            residuals.append(max(cfg.budget(j) - committed, 0.0))
+            committed = cfg.budgets_kw[j] - residual
+            residuals.append(max(cfg.budgets_kw[j] - committed, 0.0))
         for d in present:
             if d in served:
                 mode = served[d]

@@ -6,9 +6,9 @@ import math
 
 import pytest
 
-from gridflex import engine, workload
+from gridflex import engine, heuristic, workload
 from gridflex.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from gridflex.model import load_scenario, save_scenario
+from gridflex.model import Move, Serve, load_scenario, save_scenario
 
 
 @pytest.fixture()
@@ -248,10 +248,10 @@ class TestMalformedInput:
         bad.write_text(json.dumps({"scheduler": "heuristic"}))
         self.assert_rejected(["validate", str(scenario_file), str(bad)], capsys)
 
-    def test_run_zero_slot_movement_delay(self, tmp_path, scenario_file, capsys):
+    def test_run_missing_movement_pair(self, tmp_path, scenario_file, capsys):
         doc = json.loads(scenario_file.read_text())
-        doc["config"]["movement"]["pairs"][0]["delay_slots"] = 0
-        bad = tmp_path / "zero_delay.json"
+        del doc["config"]["movement"]["pairs"][0]
+        bad = tmp_path / "missing_pair.json"
         bad.write_text(json.dumps(doc))
         self.assert_rejected(["run", str(bad)], capsys)
 
@@ -365,7 +365,16 @@ class TestMalformedInput:
         out.write_text(json.dumps(doc))
         self.assert_rejected(["validate", str(scenario_file), str(out)], capsys)
 
-    @pytest.mark.parametrize("action", ["S: 1:0", "S:01:0", "S:1_0:0"])
+    @pytest.mark.parametrize(
+        "action",
+        [
+            "S: 1:0",
+            "S:01:0",
+            "S:1_0:0",
+            # more digits than int() converts
+            pytest.param("S:" + "1" * 5000 + ":0", id="S:5000-digits:0"),
+        ],
+    )
     def test_validate_non_canonical_action(self, action, tmp_path, scenario_file, capsys):
         # int() would read each as a valid field: " 1" and "01" as 1, "1_0" as 10
         out = tmp_path / "result.json"
@@ -418,6 +427,60 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert err.startswith("scenario invalid: ")
         assert "finite" in err
+
+
+def _move_pair(key, value):
+    def mutate(doc):
+        doc["config"]["movement"]["pairs"][0][key] = value
+
+    return mutate
+
+
+def _no_movement_aggregators(doc):
+    doc["config"]["movement"]["num_aggregators"] = 0
+
+
+class TestInvalidMovement:
+    """A movement value of the right JSON type is checked by validate_config:
+    an out-of-range delay or cost, or a matrix of the wrong size, is an
+    invalid scenario, not a malformed document."""
+
+    @pytest.mark.parametrize(
+        "mutate, line",
+        [
+            (_move_pair("delay_slots", 0), "movement[0][1].delay_slots: delay >= 1 slot"),
+            (_move_pair("delay_slots", -2), "movement[0][1].delay_slots: delay >= 1 slot"),
+            (_move_pair("cost_kwh_per_slot", -0.1), "movement[0][1].cost_kwh_per_slot: cost >= 0"),
+            (_no_movement_aggregators, "movement: matrix size matches aggregator count"),
+        ],
+        ids=["zero-delay", "negative-delay", "negative-cost", "no-movement-aggregators"],
+    )
+    def test_run_rejects(self, mutate, line, tmp_path, scenario_file, capsys):
+        doc = json.loads(scenario_file.read_text())
+        mutate(doc)
+        bad = tmp_path / "movement.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", str(bad)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"scenario invalid: <config>: {line}\n"
+
+
+class TestInfeasibleRun:
+    def test_one_stderr_line(self, micro_file, monkeypatch, capsys):
+        # a scheduler that serves m0 at a mode outside its set in slot 0
+        # and moves it from an aggregator that does not exist in slot 1
+        real = heuristic.run_horizon
+
+        def broken(*args, **kwargs):
+            horizon = real(*args, **kwargs)
+            horizon.decisions["m0"][:2] = [Serve(9, 0), Move(7, 1)]
+            return horizon
+
+        monkeypatch.setattr(heuristic, "run_horizon", broken)
+        assert main(["run", str(micro_file)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "scheduler heuristic produced an infeasible schedule: "
+            "(i) device=m0 slot=0; (v) device=m0 slot=1\n"
+        )
 
 
 class TestSolveExact:

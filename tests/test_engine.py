@@ -6,9 +6,10 @@ import threading
 
 import pytest
 
-from gridflex import engine, workload
+from gridflex import engine, heuristic, workload
 from gridflex.engine import (
     GroupStats,
+    InfeasibleRunError,
     InvalidScenarioError,
     baseline_compare,
     improvement_report,
@@ -64,6 +65,24 @@ class TestRun:
         )
         with pytest.raises(InvalidScenarioError):
             run(Scenario("bad", cfg, (bad,)), "heuristic")
+
+    def test_infeasible_schedule_rejected(self, monkeypatch):
+        # a scheduler that serves m0 at a mode outside its set in slot 0
+        # and moves it from an aggregator that does not exist in slot 1
+        real = heuristic.run_horizon
+
+        def broken(*args, **kwargs):
+            horizon = real(*args, **kwargs)
+            horizon.decisions["m0"][:2] = [Serve(9, 0), Move(7, 1)]
+            return horizon
+
+        monkeypatch.setattr(heuristic, "run_horizon", broken)
+        with pytest.raises(InfeasibleRunError) as info:
+            run(workload.micro_instances(1, seed=3)[0], "heuristic")
+        assert str(info.value) == (
+            "scheduler heuristic produced an infeasible schedule: "
+            "(i) device=m0 slot=0; (v) device=m0 slot=1"
+        )
 
     def test_mobility_defaults_per_scheduler(self, congested):
         assert run(congested, "heuristic").mobility_enabled is True

@@ -192,8 +192,21 @@ class TestValidateSchedule:
                 {"i": 1, "iv": 1, "vi": 1, "vii": 1},
             ),
             (2, [Move(0, 1), Move(0, 1), Serve(1, 1), IDLE, IDLE], {}),
+            # no such edge: recorded under v, and no transit starts
+            (2, [IDLE, Move(0, 5), IDLE, IDLE, IDLE], {"v": 1}),
+            (2, [IDLE, Move(7, 1), IDLE, IDLE, IDLE], {"v": 1}),
+            (2, [IDLE, Move(0, 0), IDLE, IDLE, IDLE], {"v": 1}),
         ],
-        ids=["dropped", "turned-back", "past-horizon", "served-in-transit", "landed"],
+        ids=[
+            "dropped",
+            "turned-back",
+            "past-horizon",
+            "served-in-transit",
+            "landed",
+            "to-unknown",
+            "from-unknown",
+            "to-itself",
+        ],
     )
     def test_transit_witnesses(self, delay, row, failed):
         # the slot of each failed constraint's earliest witness

@@ -16,6 +16,7 @@ from gridflex.model import (
     ScenarioFormatError,
     SystemConfig,
     UnknownAggregatorError,
+    Violation,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -75,20 +76,25 @@ class TestMovementMatrix:
             mm.total_cost(0, 5)
 
     def test_bad_diagonal_rejected(self):
-        with pytest.raises(ScenarioFormatError):
-            MovementMatrix(
-                1, ((MovementOption(1, 0.1),),)
-            )
+        # the matrix builds; validate_config reports the value
+        mm = MovementMatrix(1, ((MovementOption(1, 0.1),),))
+        cfg = dataclasses.replace(make_config(1, budgets=(500.0,)), movement=mm)
+        assert validate_config(cfg, []) == [
+            Violation(None, "movement", "n x n table with a (0, 0) diagonal")
+        ]
 
     def test_zero_delay_off_diagonal_rejected(self):
-        with pytest.raises(ScenarioFormatError):
-            MovementMatrix(
-                2,
-                (
-                    (MovementOption(0, 0.0), MovementOption(0, 0.1)),
-                    (MovementOption(1, 0.1), MovementOption(0, 0.0)),
-                ),
-            )
+        mm = MovementMatrix(
+            2,
+            (
+                (MovementOption(0, 0.0), MovementOption(0, 0.1)),
+                (MovementOption(1, 0.1), MovementOption(0, 0.0)),
+            ),
+        )
+        cfg = dataclasses.replace(make_config(), movement=mm)
+        assert validate_config(cfg, []) == [
+            Violation(None, "movement[0][1].delay_slots", "delay >= 1 slot")
+        ]
 
 
 class TestPowerModeSet:
@@ -213,6 +219,89 @@ class TestValidateConfig:
         # 2 * 48 device-slots * 1e300 stays finite
         assert validate_config(dataclasses.replace(cfg, beta_max=1e300), devices) == []
 
+    @pytest.mark.parametrize(
+        "cfg, devices, expected",
+        [
+            # an empty movement table too: the worst-case bound's maximum
+            # move cost is taken over no entry
+            (
+                make_config(0, budgets=()),
+                [],
+                [Violation(None, "num_aggregators", "J >= 1")],
+            ),
+            (make_config(horizon=0), [], [Violation(None, "horizon_slots", "horizon >= 1 slot")]),
+            (make_config(slot_hours=0.0), [], [Violation(None, "slot_hours", "slot length > 0")]),
+            (
+                dataclasses.replace(make_config(), beta_max=0.0),
+                [],
+                [Violation(None, "beta_max", "penalty constant > 0")],
+            ),
+            (
+                dataclasses.replace(make_config(), movement=MovementMatrix.line(3)),
+                [],
+                [Violation(None, "movement", "matrix size matches aggregator count")],
+            ),
+            (
+                # a hand-built table with one row of two
+                dataclasses.replace(
+                    make_config(),
+                    movement=MovementMatrix(
+                        2, ((MovementOption(0, 0.0), MovementOption(1, 0.1)),)
+                    ),
+                ),
+                [],
+                [Violation(None, "movement", "n x n table with a (0, 0) diagonal")],
+            ),
+            (
+                dataclasses.replace(make_config(), movement=MovementMatrix.uniform(2, -1, 0.1)),
+                [],
+                [
+                    Violation(None, "movement[0][1].delay_slots", "delay >= 1 slot"),
+                    Violation(None, "movement[1][0].delay_slots", "delay >= 1 slot"),
+                ],
+            ),
+            (
+                dataclasses.replace(make_config(), movement=MovementMatrix.uniform(2, 1, -0.1)),
+                [],
+                [
+                    Violation(None, "movement[0][1].cost_kwh_per_slot", "cost >= 0"),
+                    Violation(None, "movement[1][0].cost_kwh_per_slot", "cost >= 0"),
+                ],
+            ),
+            (make_config(), [make_device(id="")], [Violation("", "id", "non-empty id")]),
+            (
+                make_config(),
+                [make_device(arrival_slot=-1)],
+                [Violation("d000", "arrival_slot", "R_k >= 0")],
+            ),
+            (
+                make_config(),
+                [make_device(initial_energy_kwh=-1.0)],
+                [Violation("d000", "initial_energy_kwh", "I_k >= 0")],
+            ),
+            (
+                make_config(),
+                [make_device(criticality=0.0)],
+                [Violation("d000", "criticality", "criticality > 0")],
+            ),
+        ],
+        ids=[
+            "no-aggregator",
+            "zero-horizon",
+            "zero-slot-length",
+            "zero-beta-max",
+            "matrix-size",
+            "matrix-shape",
+            "negative-delay",
+            "negative-cost",
+            "empty-id",
+            "negative-arrival",
+            "negative-initial-energy",
+            "zero-criticality",
+        ],
+    )
+    def test_rule_flagged(self, cfg, devices, expected):
+        assert validate_config(cfg, devices) == expected
 
     def test_horizon_at_ceiling_passes(self):
         # validation only: no horizon of this length is run

@@ -5,12 +5,23 @@ give the same decision rows."""
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from gridflex import workload
 from gridflex.baselines import get_scheduler
 from gridflex.heuristic import run_horizon
-from gridflex.model import ScenarioFormatError, load_scenario, scenario_from_dict, validate_config
+from gridflex.model import (
+    DeviceRequest,
+    Move,
+    MovementMatrix,
+    PowerModeSet,
+    Scenario,
+    ScenarioFormatError,
+    SystemConfig,
+    load_scenario,
+    scenario_from_dict,
+    validate_config,
+)
 from gridflex.workload import GenSpec, IngestSpec
 from reference_scheduler import reference_rows
 from test_fuzz_scenarios import scenario_docs
@@ -43,6 +54,61 @@ def decoded(doc):
 @given(scenario_docs().map(decoded).filter(lambda s: s is not None))
 def test_fuzzed_scenarios_match_reference(scenario):
     assert mismatches(scenario) == []
+
+
+@st.composite
+def mobile_scenarios(draw):
+    """A valid scenario built to make devices move: short windows at a
+    tight aggregator 0, with roomier aggregators one or two slots away."""
+    n = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        movement = MovementMatrix.line(n, draw(st.sampled_from([0.0, 0.05, 0.15])))
+    else:
+        movement = MovementMatrix.uniform(
+            n, draw(st.integers(1, 2)), draw(st.sampled_from([0.0, 0.1]))
+        )
+    horizon = draw(st.integers(6, 10))
+    budgets = [draw(st.floats(1.0, 3.0))] + [draw(st.floats(3.0, 6.0)) for _ in range(n - 1)]
+    devices = []
+    for k in range(draw(st.integers(3, 8))):
+        modes = PowerModeSet(
+            tuple(sorted(draw(st.sets(st.sampled_from([1.0, 2.0, 3.0]), min_size=1, max_size=2))))
+        )
+        window = draw(st.integers(1, 3))
+        arrival = draw(st.integers(0, horizon - window))
+        capacity = modes.max_kw * 0.5 * window
+        mobile = draw(st.integers(0, 9)) < 8
+        devices.append(
+            DeviceRequest(
+                id=f"d{k}",
+                arrival_slot=arrival,
+                deadline_slot=arrival + window,
+                mobile=mobile,
+                initial_energy_kwh=draw(st.floats(0.5, 2.0)) if mobile else 0.0,
+                demand_kwh=draw(st.floats(0.6, 1.0)) * capacity,
+                criticality=draw(st.sampled_from(workload.KAPPA_POOL)),
+                modes=modes,
+                home=0 if draw(st.integers(0, 9)) < 7 else draw(st.integers(1, n - 1)),
+            )
+        )
+    cfg = SystemConfig(n, tuple(budgets), horizon, 0.5, movement)
+    return Scenario("mobile", cfg, tuple(devices))
+
+
+def test_mobile_scenarios_match_reference():
+    moved = []
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(mobile_scenarios())
+    def check(scenario):
+        assert validate_config(scenario.config, scenario.devices) == []
+        assert mismatches(scenario) == []
+        rows = run_horizon(scenario.config, scenario.devices).decisions.values()
+        moved.append(any(isinstance(action, Move) for row in rows for action in row))
+
+    check()
+    # the check above is only as good as the share of draws that move
+    assert sum(moved) >= len(moved) / 3, (sum(moved), len(moved))
 
 
 def test_micro_instances_match_reference():

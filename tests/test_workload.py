@@ -101,6 +101,13 @@ class TestGenerate:
         with pytest.raises(GenerationError):
             generate(spec)
 
+    def test_cluster_without_devices_raises(self):
+        # one device, two aggregators: aggregator 1 is nobody's home (at
+        # this seed aggregator 0's draw is low enough for one device)
+        spec = GenSpec(1, ("L", "L"), 0.5, seed=25)
+        with pytest.raises(GenerationError, match="^cluster 1 has no devices to carry its load$"):
+            generate(spec)
+
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError):
             generate(GenSpec(num_devices=5, class_combo=("X",), seed=0))
@@ -220,6 +227,20 @@ class TestIngestSessions:
                 datetime(2020, 3, 2, 23, 45),
                 datetime(2020, 3, 3, 2, 0),
                 5.0,
+                "ST-01",
+            )
+        ]
+        scenario, dropped = ingest_sessions(records, IngestSpec())
+        assert dropped == 1
+        assert scenario.devices == ()
+
+    def test_undeliverable_session_dropped(self):
+        # 100 kWh in one half-hour slot needs 200 kW; the top pool mode is 50 kW
+        records = [
+            SessionRecord(
+                datetime(2020, 3, 2, 10, 0),
+                datetime(2020, 3, 2, 10, 30),
+                100.0,
                 "ST-01",
             )
         ]
