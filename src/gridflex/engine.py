@@ -21,6 +21,7 @@ from .model import (
     ScenarioFormatError,
     decode_action,
     encode_action,
+    printable_id,
     validate_config,
 )
 
@@ -163,7 +164,8 @@ def run(
     report = exact.validate_schedule(horizon.decisions, scenario.config, list(scenario.devices))
     if not report.all_pass:
         witnesses = "; ".join(
-            f"({c.name}) device={c.witness[0]} slot={c.witness[1]}" for c in report.failed()
+            f"({c.name}) device={printable_id(c.witness[0])} slot={c.witness[1]}"
+            for c in report.failed()
         )
         raise InfeasibleRunError(
             f"scheduler {scheduler} produced an infeasible schedule: {witnesses}"
@@ -228,7 +230,7 @@ class GroupStats:
         return cls(
             count=len(values),
             mean=statistics.fmean(values),
-            variance=statistics.pvariance(values) if len(values) > 1 else 0.0,
+            variance=statistics.pvariance(values),
             median=statistics.median(values),
             q25=q[0],
             q75=q[2],

@@ -30,6 +30,7 @@ from .model import (
     Scenario,
     Serve,
     SystemConfig,
+    printable_id,
 )
 
 _BUDGET_TOL = 1e-9
@@ -119,7 +120,7 @@ def validate_schedule(
     for dev_id, row in decisions.items():
         if len(row) != tau:
             raise ScheduleFormatError(
-                f"device {dev_id} has {len(row)} slots, expected {tau}"
+                f"device {printable_id(dev_id)} has {len(row)} slots, expected {tau}"
             )
 
     checks = {
@@ -445,7 +446,7 @@ def solve_exact(instance: ExactInstance) -> ExactResult:
     for dev in devices:
         if dev.modes.count > MAX_MODES:
             raise CapExceededError(
-                f"device {dev.id} has {dev.modes.count} modes > cap {MAX_MODES}"
+                f"device {printable_id(dev.id)} has {dev.modes.count} modes > cap {MAX_MODES}"
             )
 
     searcher = _Searcher(cfg, devices, instance.caps.node_budget)

@@ -3,10 +3,12 @@ and device-side mobility decisions.
 
 Every slot runs three phases. Each aggregator independently ranks its
 cluster and serves devices in two passes (lowest feasible non-zero mode
-first, then stepwise upgrades while budget remains). Aggregators then
-publish their residual capacity, and unserved mobile devices weigh the
-movement cost against the deadline loss of staying put. Decisions at
-slot t never look at arrivals after t.
+first, then stepwise upgrades while budget remains) and returns the
+load it committed. The status published is one spare-capacity list
+per slot, `max(budget - committed, 0)`, derived from those loads and
+not stored; unserved mobile devices read it to weigh the movement cost
+against the deadline loss of staying put. Decisions at slot t never
+look at arrivals after t.
 """
 
 from __future__ import annotations
@@ -14,14 +16,12 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Sequence
 
 from . import utility
 from .model import (
     EPS,
     Action,
-    AggregatorState,
     DeviceRequest,
     DeviceState,
     IDLE,
@@ -36,8 +36,6 @@ from .priority import priority
 # Ranking functions take the schedulable cluster members and the current
 # slot, and return them in service order.
 RankFn = Callable[[Sequence[DeviceState], int], list[DeviceState]]
-
-_BY_ID = attrgetter("request.id")
 
 
 def heuristic_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceState]:
@@ -59,13 +57,17 @@ def heuristic_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceStat
 
 
 def schedule_slot(
-    agg: AggregatorState,
     cluster: Sequence[DeviceState],
+    aggregator: int,
+    budget_kw: float,
     slot: int,
     slot_hours: float,
     rank_fn: RankFn = heuristic_rank,
-) -> dict[str, Serve]:
-    """Assign power modes to one aggregator's cluster for one slot.
+) -> tuple[dict[str, Serve], float]:
+    """Assign power modes to one aggregator's cluster for one slot and
+    return the answer, a `Serve` at `aggregator` per served device id,
+    with the load committed, `budget_kw` minus the residual left. No
+    argument is changed.
 
     First pass hands each ranked device its lowest non-zero mode while
     the budget holds; devices that fit nothing idle. The second pass
@@ -84,7 +86,7 @@ def schedule_slot(
     serving = [d for d in cluster if d.target_kwh - d.progress_kwh > EPS]
     ranked = rank_fn(serving, slot)
 
-    residual = agg.budget_kw
+    residual = budget_kw
     assignment: dict[str, int] = {}
     served: list[DeviceState] = []
 
@@ -117,10 +119,8 @@ def schedule_slot(
             upgraded.append(dev)
         served = upgraded
 
-    agg.committed_kw = agg.budget_kw - residual
-    return {
-        dev_id: _serve(mode_index, agg.index) for dev_id, mode_index in assignment.items()
-    }
+    answer = {dev_id: _serve(mode_index, aggregator) for dev_id, mode_index in assignment.items()}
+    return answer, budget_kw - residual
 
 
 @functools.cache
@@ -132,7 +132,7 @@ def _serve(mode_index: int, aggregator: int) -> Serve:
 
 def mobility_decision(
     dev: DeviceState,
-    aggregators: Sequence[AggregatorState],
+    residual_kw: Sequence[float],
     matrix: MovementMatrix,
     slot: int,
     horizon_slots: int,
@@ -145,12 +145,13 @@ def mobility_decision(
     movement cost, and movement costs are never negative, so a device
     that loses nothing by staying (at or before its deadline, or with a
     deficit within `EPS`) stays without a scan. Otherwise the candidates
-    are aggregators whose residual capacity after this slot's scheduling,
-    `max(budget - committed, 0)`, is one the device could actually draw
-    on (at least its lowest mode) and whose transit completes within the
-    horizon. Among the affordable ones (total movement cost within
-    on-board energy) the cheapest wins, and the move happens only when
-    the deadline loss of staying exceeds its cost.
+    are the aggregators whose published spare capacity after this slot's
+    scheduling, `residual_kw[j] = max(budget - committed, 0)`, is one the
+    device could actually draw on (at least its lowest mode) and whose
+    transit completes within the horizon. Among the affordable ones
+    (total movement cost within on-board energy) the cheapest wins, and
+    the move happens only when the deadline loss of staying exceeds its
+    cost.
 
     `run_horizon` calls this only for the devices it can move (mobile,
     unserved, with a deficit and past the deadline); the checks here stay
@@ -169,20 +170,19 @@ def mobility_decision(
     if stay_loss <= 0.0:
         return None
     here = dev.aggregator
+    lowest = dev.request.modes.levels_kw[0]
 
     best: tuple[float, int] | None = None
-    for agg in aggregators:
-        if agg.index == here:
+    for j, spare in enumerate(residual_kw):
+        if j == here or spare + EPS < lowest:
             continue
-        if agg.residual_kw + EPS < dev.request.modes.levels_kw[0]:
-            continue
-        opt = matrix.option(here, agg.index)
+        opt = matrix.option(here, j)
         if slot + opt.delay_slots > horizon_slots - 1:
             continue
         cost = opt.delay_slots * opt.cost_kwh_per_slot
         if cost > dev.available_energy_kwh + EPS:
             continue
-        key = (cost, agg.index)
+        key = (cost, j)
         if best is None or key < best:
             best = key
 
@@ -216,61 +216,63 @@ def run_horizon(
     mobility_enabled: bool = True,
 ) -> HorizonResult:
     """Simulate all slots: admit arrivals, schedule each cluster, then let
-    unserved devices weigh a move against the residual capacity left.
+    unserved devices weigh a move against the spare capacity left.
 
     Purely online: slot-t decisions see only devices with arrival <= t.
-    Each aggregator's cluster is one list, in id order, kept across
-    slots; a device joins it in its arrival slot. The aggregator phase
-    only collects each cluster's `schedule_slot` answer. One pass per
-    cluster then applies that answer and rebuilds the list: a served
-    device writes its Serve cell and draws the slot's energy, an unserved
-    one keeps the Idle row fill. Only an unserved mobile device past its
-    deadline and with a deficit is offered to `mobility_decision`; staying
-    costs any other nothing. Offers read only the residuals the aggregator
-    phase left, so the order of the pass changes nothing. A departing
-    device writes its whole transit into its row and joins the target's
-    cluster in its landing slot, as an arrival does. A `completed` device
-    leaves for good: its row is final. Work per slot thus follows the
-    cluster sizes, not every request that has arrived. Finished rows are
-    scored by `utility.row_loss`.
+    Each aggregator's cluster is one list kept across slots; a device
+    joins it in its arrival slot. Its order is no state: every rank
+    function is a total order. The aggregator phase only collects each
+    cluster's `schedule_slot` answer and committed load; the loads are
+    the slot's `committed_kw` row, and the status published is the list
+    of spare capacity `max(budget - committed, 0)` built from them once
+    per slot. One pass per cluster then applies the answers and rebuilds
+    the list: a served device writes its Serve cell and draws the slot's
+    energy, an unserved one keeps the Idle row fill. Only an unserved
+    mobile device past its deadline and with a deficit is offered to
+    `mobility_decision`; staying costs any other nothing. Offers read
+    only the published list and the device's own state, so the order of
+    the pass changes nothing. A departing device writes its whole transit
+    into its row and joins the target's cluster in its landing slot, as
+    an arrival does. A `completed` device leaves for good: its row is
+    final. Work per slot thus follows the cluster sizes, not every
+    request that has arrived. Finished rows are scored by
+    `utility.row_loss`.
     """
     tau = cfg.horizon_slots
     ordered = sorted(devices, key=lambda d: d.id)
     states = {d.id: DeviceState(request=d, aggregator=d.home) for d in ordered}
-    aggs = [
-        AggregatorState(index=j, budget_kw=cfg.budgets_kw[j]) for j in range(cfg.num_aggregators)
-    ]
+    budgets = cfg.budgets_kw
     decisions: dict[str, list[Action]] = {d.id: [IDLE] * tau for d in ordered}
     committed: list[list[float]] = []
     slot_wall: list[float] = []
 
-    # first arrivals in id order; a transit's landing is appended later
+    # first arrivals; a transit's landing is appended later
     arrivals: list[list[DeviceState]] = [[] for _ in range(tau)]
     for d in ordered:
         if d.arrival_slot < tau:
             arrivals[max(d.arrival_slot, 0)].append(states[d.id])
-    clusters: list[list[DeviceState]] = [[] for _ in aggs]
+    clusters: list[list[DeviceState]] = [[] for _ in budgets]
 
     for t in range(tau):
         t0 = time.perf_counter()
 
         for st in arrivals[t]:
             clusters[st.aggregator].append(st)
-        # arrivals and landings join as a few id-ordered runs; the sort
-        # merges them and keeps each grown cluster in id order
-        for j in {st.aggregator for st in arrivals[t]}:
-            clusters[j].sort(key=_BY_ID)
 
-        # aggregator phase: independent per cluster, a decision only
-        answers = [
-            schedule_slot(agg, cluster, t, cfg.slot_hours, rank_fn)
-            for agg, cluster in zip(aggs, clusters)
+        # aggregator phase: independent per cluster, an answer and its load
+        phase = [
+            schedule_slot(cluster, j, budgets[j], t, cfg.slot_hours, rank_fn)
+            for j, cluster in enumerate(clusters)
         ]
+        loads = [load for _, load in phase]
+        committed.append(loads)
+        # status exchange: the spare capacity each aggregator publishes
+        spare = [max(budget - load, 0.0) for budget, load in zip(budgets, loads)]
 
         # device phase, one pass per cluster: served devices draw their
         # slot's energy, late unserved mobile devices may depart this slot,
         # and the devices that stay keep their place in the cluster
-        for cluster, served in zip(clusters, answers):
+        for cluster, (served, _) in zip(clusters, phase):
             staying: list[DeviceState] = []
             for st in cluster:
                 req = st.request
@@ -284,7 +286,7 @@ def run_horizon(
                 if st.target_kwh - st.progress_kwh <= EPS:
                     continue
                 if action is None and mobility_enabled and req.mobile and t > req.deadline_slot:
-                    move = mobility_decision(st, aggs, cfg.movement, t, tau, cfg.beta_max)
+                    move = mobility_decision(st, spare, cfg.movement, t, tau, cfg.beta_max)
                     if move is not None:
                         # the transit lands by slot tau - 1: mobility_decision
                         # offers no later one
@@ -298,7 +300,6 @@ def run_horizon(
                 staying.append(st)
             cluster[:] = staying
 
-        committed.append([agg.committed_kw for agg in aggs])
         slot_wall.append(time.perf_counter() - t0)
 
     losses = {d.id: utility.row_loss(d, decisions[d.id], cfg) for d in ordered}

@@ -264,6 +264,8 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Runtime state (owned by the engine; everything above is immutable)
 # ---------------------------------------------------------------------------
+# Only devices carry state: each slot `heuristic.run_horizon` derives the
+# aggregators' published spare capacity from the loads `schedule_slot` returns.
 
 
 @dataclass(slots=True)
@@ -304,19 +306,6 @@ class DeviceState:
         return self.request.initial_energy_kwh + self.progress_kwh - self.extra_demand_kwh
 
 
-@dataclass(slots=True)
-class AggregatorState:
-    """Per-slot bookkeeping for one aggregator."""
-
-    index: int
-    budget_kw: float
-    committed_kw: float = 0.0
-
-    @property
-    def residual_kw(self) -> float:
-        return max(self.budget_kw - self.committed_kw, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -329,8 +318,13 @@ class Violation:
     rule: str
 
     def __str__(self) -> str:
-        scope = self.device_id if self.device_id is not None else "<config>"
+        scope = printable_id(self.device_id) if self.device_id is not None else "<config>"
         return f"{scope}: {self.field}: {self.rule}"
+
+
+def printable_id(device_id: str) -> str:
+    """A device id for a one-line message: escaped as `repr` does, unquoted."""
+    return repr(device_id)[1:-1]
 
 
 def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list[Violation]:

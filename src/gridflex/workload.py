@@ -288,7 +288,7 @@ def micro_instances(
             budgets_kw=tuple([budget] * J),
             horizon_slots=tau,
             slot_hours=slot_hours,
-            movement=MovementMatrix.uniform(J, 1, 0.1) if J > 1 else MovementMatrix.line(1),
+            movement=MovementMatrix.uniform(J, 1, 0.1),
         )
         devices = []
         for k in range(K):

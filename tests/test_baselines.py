@@ -9,7 +9,6 @@ from gridflex import engine, workload
 from gridflex.baselines import SCHEDULERS, get_scheduler
 from gridflex.heuristic import schedule_slot
 from gridflex.model import (
-    AggregatorState,
     DeviceRequest,
     DeviceState,
     Move,
@@ -137,8 +136,7 @@ class TestProperties:
             )
             cluster.append(state)
 
-        agg = AggregatorState(index=0, budget_kw=budget)
-        assigned = schedule_slot(agg, cluster, slot=4, slot_hours=0.5)
+        assigned, committed = schedule_slot(cluster, 0, budget, slot=4, slot_hours=0.5)
         by_id = {d.request.id: d for d in cluster}
 
         total = sum(
@@ -146,7 +144,7 @@ class TestProperties:
             for dev_id, a in assigned.items()
         )
         assert total <= budget + 1e-9
-        assert agg.committed_kw == pytest.approx(total)
+        assert committed == pytest.approx(total)
         for dev_id, action in assigned.items():
             dev = by_id[dev_id]
             assert not dev.completed

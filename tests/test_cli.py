@@ -483,6 +483,43 @@ class TestInfeasibleRun:
         )
 
 
+def _newline_id_no_demand(doc):
+    doc["devices"][0]["id"] = "a\nb"
+    doc["devices"][0]["demand_kwh"] = 0.0
+
+
+class TestIdInMessage:
+    """A device id goes into a stderr message escaped, so every message is
+    one line whatever the id holds."""
+
+    def test_invalid_scenario(self, micro_file, tmp_path, capsys):
+        bad = write_mutated(micro_file, tmp_path, _newline_id_no_demand)
+        assert main(["run", str(bad)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "scenario invalid: a\\nb: demand_kwh: E_k > 0\n"
+        assert err.count("\n") == 1
+
+    def test_infeasible_schedule(self, micro_file, tmp_path, monkeypatch, capsys):
+        def _newline_id(doc):
+            doc["devices"][0]["id"] = "m\n0"
+
+        real = heuristic.run_horizon
+
+        def broken(*args, **kwargs):
+            horizon = real(*args, **kwargs)
+            horizon.decisions["m\n0"][0] = Serve(9, 0)
+            return horizon
+
+        monkeypatch.setattr(heuristic, "run_horizon", broken)
+        bad = write_mutated(micro_file, tmp_path, _newline_id)
+        assert main(["run", str(bad)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == (
+            "scheduler heuristic produced an infeasible schedule: (i) device=m\\n0 slot=0\n"
+        )
+        assert err.count("\n") == 1
+
+
 class TestSolveExact:
     def test_micro_instance(self, micro_file, tmp_path):
         out = tmp_path / "exact.json"

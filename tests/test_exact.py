@@ -304,6 +304,13 @@ class TestValidateSchedule:
         with pytest.raises(ScheduleFormatError):
             validate_schedule({"a": [IDLE]}, cfg, devs)
 
+    def test_short_row_message_is_one_line(self):
+        cfg = make_cfg(horizon=4)
+        devs = [make_request("a\nb", [2], 1.0, 2)]
+        with pytest.raises(ScheduleFormatError) as err:
+            validate_schedule({"a\nb": [IDLE]}, cfg, devs)
+        assert str(err.value) == "device a\\nb has 1 slots, expected 4"
+
     def test_corruptions_are_caught_with_witnesses(self):
         # every mutation that breaks a rule flips at least one constraint
         scenario = workload.micro_instances(1, seed=123, max_devices=3)[0]
@@ -436,6 +443,13 @@ class TestSolveExact:
         for scenario in past_caps:
             with pytest.raises(CapExceededError, match="> cap"):
                 solve_exact(ExactInstance(scenario))
+
+    def test_mode_cap_message_is_one_line(self):
+        modes = list(range(1, exact.MAX_MODES + 2))
+        scenario = Scenario("modes", make_cfg(), (make_request("a\nb", modes, 1.0, 2),))
+        with pytest.raises(CapExceededError) as err:
+            solve_exact(ExactInstance(scenario))
+        assert str(err.value) == f"device a\\nb has {len(modes)} modes > cap {exact.MAX_MODES}"
 
     def test_node_budget_refusal(self):
         cfg = make_cfg(budget=2.0, horizon=6)

@@ -1,4 +1,4 @@
-"""Two-pass serving, status publication, mobility choice, and horizon runs."""
+"""Two-pass serving, the published spare capacity, mobility choice, and horizon runs."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from gridflex.heuristic import (
     schedule_slot,
 )
 from gridflex.model import (
-    AggregatorState,
     DeviceRequest,
     DeviceState,
     IDLE,
@@ -62,84 +61,90 @@ class TestScheduleSlot:
     def test_two_pass_assignment_with_upgrade(self):
         # A (modes 1,3, higher priority) and B (modes 2) under a 5 kW budget:
         # first pass A->1, B->2; upgrade pass lifts A to 3
-        agg = AggregatorState(index=0, budget_kw=5.0)
         a = make_state(make_request("a", [1, 3], demand=40.0, deadline=2))
         b = make_state(make_request("b", [2], demand=40.0, deadline=9))
-        assigned = schedule_slot(agg, [a, b], slot=1, slot_hours=0.5)
+        assigned, committed = schedule_slot([a, b], 0, 5.0, slot=1, slot_hours=0.5)
         assert assigned["a"] == Serve(2, 0)  # mode index 2 -> 3 kW
         assert assigned["b"] == Serve(1, 0)  # mode index 1 -> 2 kW
-        assert agg.committed_kw == pytest.approx(5.0)
+        assert committed == pytest.approx(5.0)
+
+    def test_changes_no_argument(self):
+        # the answer and the load are the whole result: the cluster list
+        # and every state in it are as they were
+        a = make_state(make_request("a", [1, 3], demand=40.0, deadline=2), progress=1.0)
+        b = make_state(make_request("b", [2], demand=40.0, deadline=9))
+        cluster = [b, a]
+        before = [(st.aggregator, st.progress_kwh, st.extra_demand_kwh, st.target_kwh)
+                  for st in cluster]
+        schedule_slot(cluster, 1, 5.0, slot=1, slot_hours=0.5)
+        assert cluster == [b, a]
+        assert [(st.aggregator, st.progress_kwh, st.extra_demand_kwh, st.target_kwh)
+                for st in cluster] == before
 
     def test_empty_cluster(self):
-        agg = AggregatorState(index=0, budget_kw=5.0)
-        assert schedule_slot(agg, [], slot=0, slot_hours=0.5) == {}
-        assert agg.committed_kw == 0.0
+        assert schedule_slot([], 0, 5.0, slot=0, slot_hours=0.5) == ({}, 0.0)
+
+    def test_serves_at_the_given_aggregator(self):
+        dev = make_state(make_request("a", [2], demand=10.0, home=3))
+        assert schedule_slot([dev], 3, 5.0, slot=0, slot_hours=0.5) == ({"a": Serve(1, 3)}, 2.0)
 
     def test_upgrades_stop_at_top_mode(self):
-        agg = AggregatorState(index=0, budget_kw=500.0)
         dev = make_state(make_request("a", [1, 2, 3, 5], demand=100.0))
-        assigned = schedule_slot(agg, [dev], slot=0, slot_hours=0.5)
+        assigned, committed = schedule_slot([dev], 0, 500.0, slot=0, slot_hours=0.5)
         assert assigned["a"] == Serve(4, 0)  # 5 kW
-        assert agg.committed_kw == pytest.approx(5.0)
+        assert committed == pytest.approx(5.0)
 
     def test_upgrades_stop_when_deficit_small(self):
         # deficit 1.6 kWh: 3 kW delivers 1.5 (fits), 5 kW delivers 2.5 (overshoots)
-        agg = AggregatorState(index=0, budget_kw=500.0)
         dev = make_state(make_request("a", [1, 2, 3, 5], demand=100.0), progress=98.4)
-        assigned = schedule_slot(agg, [dev], slot=0, slot_hours=0.5)
+        assigned, _ = schedule_slot([dev], 0, 500.0, slot=0, slot_hours=0.5)
         assert assigned["a"] == Serve(3, 0)
 
     def test_lowest_mode_may_overshoot_small_deficit(self):
-        agg = AggregatorState(index=0, budget_kw=500.0)
         dev = make_state(make_request("a", [2], demand=100.0), progress=99.9)
-        assigned = schedule_slot(agg, [dev], slot=0, slot_hours=0.5)
+        assigned, _ = schedule_slot([dev], 0, 500.0, slot=0, slot_hours=0.5)
         assert assigned["a"] == Serve(1, 0)
 
     def test_completed_devices_never_occupy_budget(self):
-        agg = AggregatorState(index=0, budget_kw=2.0)
         done = make_state(make_request("a", [2], demand=10.0), progress=10.0)
         hungry = make_state(make_request("b", [2], demand=10.0))
-        assigned = schedule_slot(agg, [done, hungry], slot=0, slot_hours=0.5)
+        assigned, _ = schedule_slot([done, hungry], 0, 2.0, slot=0, slot_hours=0.5)
         assert "a" not in assigned
         assert assigned["b"] == Serve(1, 0)
 
     def test_no_fit_means_idle(self):
-        agg = AggregatorState(index=0, budget_kw=1.5)
         dev = make_state(make_request("a", [2], demand=10.0))
-        assert schedule_slot(agg, [dev], slot=0, slot_hours=0.5) == {}
+        assert schedule_slot([dev], 0, 1.5, slot=0, slot_hours=0.5) == ({}, 0.0)
 
     def test_first_pass_reaches_small_mode_past_a_misfit(self):
         # 5 kW: a takes 4, b's 3 kW lowest mode no longer fits, c's 1 kW does;
         # the first pass stops only below the cluster's smallest lowest mode
-        agg = AggregatorState(index=0, budget_kw=5.0)
         devs = [
             make_state(make_request("a", [4], demand=40.0, deadline=1)),
             make_state(make_request("b", [3], demand=40.0, deadline=2)),
             make_state(make_request("c", [1], demand=40.0, deadline=3)),
         ]
-        assigned = schedule_slot(agg, devs, 0, 0.5)
+        assigned, committed = schedule_slot(devs, 0, 5.0, 0, 0.5)
         assert assigned == {"a": Serve(1, 0), "c": Serve(1, 0)}
-        assert agg.committed_kw == pytest.approx(5.0)
+        assert committed == pytest.approx(5.0)
 
     def test_failed_upgrade_step_leaves_the_sweeps(self):
         # 4 kW: first pass a->1, b->1 (2 kW left); a's 4 kW step never fits,
         # so b alone takes the remaining two 1 kW steps
-        agg = AggregatorState(index=0, budget_kw=4.0)
         devs = [
             make_state(make_request("a", [1, 5], demand=40.0, deadline=1)),
             make_state(make_request("b", [1, 2, 3], demand=40.0, deadline=2)),
         ]
-        assigned = schedule_slot(agg, devs, 0, 0.5)
+        assigned, committed = schedule_slot(devs, 0, 4.0, 0, 0.5)
         assert assigned == {"a": Serve(1, 0), "b": Serve(3, 0)}
-        assert agg.committed_kw == pytest.approx(4.0)
+        assert committed == pytest.approx(4.0)
 
     def test_round_robin_respects_budget(self):
-        agg = AggregatorState(index=0, budget_kw=7.0)
         devs = [
             make_state(make_request("a", [1, 3, 5], demand=60.0, deadline=2)),
             make_state(make_request("b", [1, 3, 5], demand=60.0, deadline=3)),
         ]
-        assigned = schedule_slot(agg, devs, 0, 0.5)
+        assigned, _ = schedule_slot(devs, 0, 7.0, 0, 0.5)
         total = sum(
             devs[0].request.modes.power(a.mode_index) for a in assigned.values()
         )
@@ -147,54 +152,59 @@ class TestScheduleSlot:
 
     def test_round_robin_spreads_residual_across_priorities(self):
         # 6 kW over two eager devices: 3+3, not 5+1 to the more urgent one
-        agg = AggregatorState(index=0, budget_kw=6.0)
         devs = [
             make_state(make_request("a", [1, 3, 5], demand=60.0, deadline=2)),
             make_state(make_request("b", [1, 3, 5], demand=60.0, deadline=3)),
         ]
-        rr = schedule_slot(agg, devs, 0, 0.5)
+        rr, _ = schedule_slot(devs, 0, 6.0, 0, 0.5)
         assert rr["a"] == Serve(2, 0) and rr["b"] == Serve(2, 0)
 
 
-def late_mover(modes=(2,)):
+def late_mover():
     """A mobile device six slots past its deadline at slot 8: staying
     costs far more than any affordable move."""
     return make_state(
-        make_request("a", modes, demand=1000.0, deadline=2, mobile=True, initial=5.0)
+        make_request("a", [2], demand=1000.0, deadline=2, mobile=True, initial=5.0)
     )
 
 
 class TestPublishStatus:
-    """Devices read each aggregator's residual capacity left after the
-    slot's scheduling straight from the `AggregatorState` list."""
+    """Devices read the spare capacity each aggregator published after the
+    slot's scheduling, one plain list indexed by aggregator."""
 
     def test_exhausted_budgets_have_zero_residual(self):
         cfg = make_cfg(num_aggregators=2)
-        aggs = [AggregatorState(index=j, budget_kw=4.0, committed_kw=4.0) for j in range(2)]
-        assert aggs[1].residual_kw == 0.0
-        assert mobility_decision(late_mover(), aggs, cfg.movement, 8, 20, cfg.beta_max) is None
+        spare = [0.0, 0.0]  # budgets 4 kW, 4 kW committed
+        assert mobility_decision(late_mover(), spare, cfg.movement, 8, 20, cfg.beta_max) is None
 
     def test_residual_subtraction(self):
-        # 500 - 80 leaves exactly the device's 420 kW lowest mode; 81 leaves too little
-        cfg = make_cfg(num_aggregators=2)
-        aggs = [AggregatorState(index=j, budget_kw=500.0, committed_kw=80.0) for j in range(2)]
-        assert aggs[1].residual_kw == pytest.approx(420.0)
-        dev = late_mover(modes=(420,))
-        assert mobility_decision(dev, aggs, cfg.movement, 8, 20, cfg.beta_max) == Move(0, 1)
-        aggs[1].committed_kw = 81.0
-        assert mobility_decision(dev, aggs, cfg.movement, 8, 20, cfg.beta_max) is None
+        # a fixed device draws `load` of aggregator 1's 500 kW every slot:
+        # 500 - 80 leaves exactly the late mover's 420 kW lowest mode, so it
+        # moves there in slot 3; 500 - 81 falls 1 kW short and it never does
+        cfg = SystemConfig(2, (1.0, 500.0), 20, 0.5, MovementMatrix.line(2, 0.15))
+
+        def run(load):
+            devs = [
+                make_request("a", [420], demand=1000.0, deadline=2, mobile=True, initial=5.0),
+                make_request("z", [load], demand=10_000.0, deadline=20, home=1),
+            ]
+            result = run_horizon(cfg, devs)
+            assert result.committed_kw[3] == [0.0, load]
+            return rows_of(result)["a"]
+
+        assert run(80.0)[:5] == ["I", "I", "I", "M:0:1", "S:1:1"]
+        assert run(81.0) == ["I"] * 20
 
     def test_one_entry_per_aggregator(self):
         # only the farthest of five aggregators has room: every one is considered
         cfg = make_cfg(num_aggregators=5)
-        aggs = [AggregatorState(index=j, budget_kw=4.0, committed_kw=4.0) for j in range(4)]
-        aggs.append(AggregatorState(index=4, budget_kw=500.0))
-        move = mobility_decision(late_mover(), aggs, cfg.movement, 8, 20, cfg.beta_max)
+        spare = [0.0] * 4 + [500.0]
+        move = mobility_decision(late_mover(), spare, cfg.movement, 8, 20, cfg.beta_max)
         assert move == Move(0, 4)
 
 
 def open_aggregators(count):
-    return [AggregatorState(index=j, budget_kw=500.0) for j in range(count)]
+    return [500.0] * count
 
 
 class TestMobilityDecision:
@@ -218,8 +228,7 @@ class TestMobilityDecision:
         dev = make_state(
             make_request("a", [2], demand=10.0, deadline=2, mobile=True, initial=5.0)
         )
-        aggs = [AggregatorState(index=j, budget_kw=4.0, committed_kw=4.0) for j in range(2)]
-        assert mobility_decision(dev, aggs, cfg.movement, 8, 20, cfg.beta_max) is None
+        assert mobility_decision(dev, [0.0, 0.0], cfg.movement, 8, 20, cfg.beta_max) is None
 
     def test_unaffordable_move_means_stay(self):
         cfg = make_cfg(num_aggregators=2, cost=10.0)
@@ -366,12 +375,12 @@ class TestRunHorizon:
         landed = []
         original = heuristic.schedule_slot
 
-        def recording(agg, cluster, slot, *args):
+        def recording(cluster, *args):
             for st in cluster:
                 if st.request.id == "b" and st.extra_demand_kwh > 0.0 and not landed:
                     landed.append((st.extra_demand_kwh, st.target_kwh, st.progress_kwh,
                                    st.completed))
-            return original(agg, cluster, slot, *args)
+            return original(cluster, *args)
 
         monkeypatch.setattr(heuristic, "schedule_slot", recording)
         result = run_horizon(cfg, devs)
@@ -406,6 +415,48 @@ class TestRunHorizon:
         result = run_horizon(cfg, [dev])
         st = result.states["a"]
         assert st.progress_kwh == pytest.approx(3.0)
+
+
+def stranded_mover():
+    """Home budget 2 kW serves "a" but fits no mode of "b", so under any
+    ranking "b" moves once late to aggregator 1 and shares it with "c"."""
+    cfg = SystemConfig(2, (2.0, 10.0), 12, 0.5, MovementMatrix.line(2, 0.15))
+    devs = [
+        make_request("a", [2], demand=6.0, deadline=6),
+        make_request("b", [3], demand=3.0, deadline=2, mobile=True, initial=1.0),
+        make_request("c", [1, 2, 4, 8], demand=20.0, deadline=12, home=1),
+    ]
+    return cfg, devs
+
+
+def generated_100():
+    scenario = workload.generate(workload.GenSpec(num_devices=100, seed=3))
+    return scenario.config, scenario.devices
+
+
+class TestCommittedLoad:
+    """`committed_kw[t][j]`, the load `schedule_slot` returned, is what the
+    decision rows draw from aggregator j in slot t."""
+
+    @pytest.mark.parametrize("rank_fn", [heuristic_rank, edf_rank, hp_rank],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("make", [generated_100, stranded_mover],
+                             ids=lambda f: f.__name__)
+    def test_committed_matches_serve_powers(self, make, rank_fn):
+        cfg, devs = make()
+        result = run_horizon(cfg, devs, rank_fn)
+        drawn = [[0.0] * cfg.num_aggregators for _ in range(cfg.horizon_slots)]
+        for dev in devs:
+            for t, action in enumerate(result.decisions[dev.id]):
+                if isinstance(action, Serve):
+                    drawn[t][action.aggregator] += dev.modes.power(action.mode_index)
+        assert len(result.committed_kw) == cfg.horizon_slots
+        for t in range(cfg.horizon_slots):
+            assert len(result.committed_kw[t]) == cfg.num_aggregators
+            for j in range(cfg.num_aggregators):
+                assert result.committed_kw[t][j] == pytest.approx(drawn[t][j], rel=0, abs=1e-9)
+        if make is stranded_mover:
+            assert any(isinstance(a, Move) for a in result.decisions["b"])
 
 
 def rows_of(result):
@@ -461,10 +512,11 @@ class TestLiveSet:
         assert result.states["b"].aggregator == 1
         assert_replay_matches(cfg, devs, result)
 
-    def test_two_slot_transit_lands_in_id_order(self, monkeypatch):
+    def test_two_slot_transit_lands_at_target(self, monkeypatch):
         # aggregator 1 has no room for "b"'s only mode, so once late it goes
         # two hops, 0 -> 2: both transit slots are Move cells, and it lands
-        # in slot 4 between "a" and "c", which sit at aggregator 2 throughout
+        # in slot 4 in the cluster of "a" and "c", which sit at aggregator 2
+        # throughout; the cluster's order is not state, so only its members count
         cfg = SystemConfig(3, (1.0, 1.0, 10.0), 8, 0.5, MovementMatrix.line(3, 0.15))
         devs = [
             make_request("a", [2], demand=8.0, deadline=8, home=2),
@@ -478,7 +530,7 @@ class TestLiveSet:
             "b": ["I", "I", "M:0:2", "M:0:2", "S:1:2", "S:1:2", "I", "I"],
             "c": ["S:1:2"] * 8,
         }
-        assert [dev_id for dev_id, slot in members if slot == 4] == ["a", "b", "c"]
+        assert sorted(dev_id for dev_id, slot in members if slot == 4) == ["a", "b", "c"]
         st = result.states["b"]
         assert st.aggregator == 2
         assert st.extra_demand_kwh == cfg.movement.total_cost(0, 2)
@@ -536,9 +588,9 @@ def record_cluster_members(monkeypatch):
     calls = []
     original = heuristic.schedule_slot
 
-    def recording(agg, cluster, slot, *args):
+    def recording(cluster, aggregator, budget_kw, slot, *args):
         calls.extend((st.request.id, slot) for st in cluster)
-        return original(agg, cluster, slot, *args)
+        return original(cluster, aggregator, budget_kw, slot, *args)
 
     monkeypatch.setattr(heuristic, "schedule_slot", recording)
     return calls
@@ -574,8 +626,8 @@ def record_mobility_calls(monkeypatch):
     calls = []
     original = heuristic.mobility_decision
 
-    def recording(dev, aggregators, matrix, slot, *args):
-        move = original(dev, aggregators, matrix, slot, *args)
+    def recording(dev, residual_kw, matrix, slot, *args):
+        move = original(dev, residual_kw, matrix, slot, *args)
         calls.append((dev.request.id, slot, move))
         return move
 
