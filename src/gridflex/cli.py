@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import engine, exact, workload
-from .model import ScenarioFormatError, load_scenario, scenario_to_dict
+from .model import ScenarioFormatError, load_scenario, printable_id, scenario_to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,7 +130,7 @@ def _write_chunks(result: engine.RunResult, f) -> None:
 
 def _render_run_table(result: engine.RunResult) -> str:
     lines = [
-        f"scenario   {result.scenario_id}",
+        f"scenario   {printable_id(result.scenario_id)}",
         f"scheduler  {result.scheduler} (mobility={'on' if result.mobility_enabled else 'off'})",
         f"total loss {result.total_loss:.4f}",
         "",
@@ -139,7 +139,7 @@ def _render_run_table(result: engine.RunResult) -> str:
     for dev_id in sorted(result.per_device):
         row = result.per_device[dev_id]
         lines.append(
-            f"{dev_id}\t{row['loss_total']:.4f}\t{row['progress_kwh']:.2f}"
+            f"{printable_id(dev_id)}\t{row['loss_total']:.4f}\t{row['progress_kwh']:.2f}"
             f"\t{'yes' if row['completed'] else 'no'}"
         )
     return "\n".join(lines) + "\n"
@@ -189,7 +189,7 @@ def _baseline_compare(args: argparse.Namespace) -> tuple[dict, str]:
         "losses": {name: r.total_loss for name, r in results.items()},
         "improvement_pct": report,
     }
-    lines = [f"scenario {scenario.scenario_id}"]
+    lines = [f"scenario {printable_id(scenario.scenario_id)}"]
     for name, loss in doc["losses"].items():
         lines.append(f"{name}\t{loss:.2f}")
     for name, pct in report.items():
@@ -299,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except OSError as exc:
-        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        print(f"cannot open {printable_id(str(exc.filename))}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except (json.JSONDecodeError, UnicodeDecodeError, ScenarioFormatError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)

@@ -173,16 +173,15 @@ def run(
 
     per_device = {}
     for dev_id in sorted(horizon.states):
-        st = horizon.states[dev_id]
-        loss = horizon.losses[dev_id]
+        row = horizon.states[dev_id]
         per_device[dev_id] = {
-            "loss_total": loss.total,
-            "deadline_loss": loss.deadline_loss,
-            "mobility_loss_weighted": 2.0 * loss.mobility_loss,
-            "stationary_penalty": loss.stationary_penalty,
-            "progress_kwh": st.progress_kwh,
-            "extra_demand_kwh": st.extra_demand_kwh,
-            "completed": st.completed,
+            "loss_total": row.total,
+            "deadline_loss": row.deadline_loss,
+            "mobility_loss_weighted": 2.0 * row.mobility_loss,
+            "stationary_penalty": row.stationary_penalty,
+            "progress_kwh": row.progress_kwh,
+            "extra_demand_kwh": row.extra_demand_kwh,
+            "completed": row.completed,
         }
     return RunResult(
         scenario_id=scenario.scenario_id,

@@ -82,7 +82,7 @@ def schedule_slot(
     cluster, and a device whose upgrade step fails once leaves the
     sweeps: it would fail every later sweep too.
     """
-    # not `completed`, read from the fields: the deficit exceeds EPS
+    # not met: the deficit exceeds EPS
     serving = [d for d in cluster if d.target_kwh - d.progress_kwh > EPS]
     ranked = rank_fn(serving, slot)
 
@@ -196,17 +196,18 @@ def mobility_decision(
 
 @dataclass
 class HorizonResult:
-    """Full output of one horizon run, before engine packaging."""
+    """Full output of one horizon run, before engine packaging. `states`
+    holds each device's final state and loss as `utility.row_loss` scores
+    its decision row; no `DeviceState` outlives the loop."""
 
     decisions: dict[str, list[Action]]
-    states: dict[str, DeviceState]
-    losses: dict[str, utility.RowLoss]  # each decision row, scored after the horizon
+    states: dict[str, utility.RowLoss]
     committed_kw: list[list[float]]  # [slot][aggregator]
     slot_wall_s: list[float]
 
     @property
     def total_loss(self) -> float:
-        return sum(self.losses[dev_id].total for dev_id in sorted(self.losses))
+        return sum(self.states[dev_id].total for dev_id in sorted(self.states))
 
 
 def run_horizon(
@@ -233,14 +234,13 @@ def run_horizon(
     only the published list and the device's own state, so the order of
     the pass changes nothing. A departing device writes its whole transit
     into its row and joins the target's cluster in its landing slot, as
-    an arrival does. A `completed` device leaves for good: its row is
-    final. Work per slot thus follows the cluster sizes, not every
-    request that has arrived. Finished rows are scored by
-    `utility.row_loss`.
+    an arrival does. A met device (deficit within `EPS`) leaves for good:
+    its row is final. Work per slot thus follows the cluster sizes, not
+    every request that has arrived. `utility.row_loss` scores each
+    finished row and reads the device's final state from it.
     """
     tau = cfg.horizon_slots
     ordered = sorted(devices, key=lambda d: d.id)
-    states = {d.id: DeviceState(request=d, aggregator=d.home) for d in ordered}
     budgets = cfg.budgets_kw
     decisions: dict[str, list[Action]] = {d.id: [IDLE] * tau for d in ordered}
     committed: list[list[float]] = []
@@ -250,7 +250,7 @@ def run_horizon(
     arrivals: list[list[DeviceState]] = [[] for _ in range(tau)]
     for d in ordered:
         if d.arrival_slot < tau:
-            arrivals[max(d.arrival_slot, 0)].append(states[d.id])
+            arrivals[max(d.arrival_slot, 0)].append(DeviceState(request=d, aggregator=d.home))
     clusters: list[list[DeviceState]] = [[] for _ in budgets]
 
     for t in range(tau):
@@ -282,7 +282,7 @@ def run_horizon(
                     delivered = req.modes.power(action.mode_index) * cfg.slot_hours
                     # the deficit, read from the fields: a served device's exceeds EPS
                     st.progress_kwh += min(delivered, st.target_kwh - st.progress_kwh)
-                # `completed`, read from the fields: the row is final
+                # met, the deficit within EPS: the row is final
                 if st.target_kwh - st.progress_kwh <= EPS:
                     continue
                 if action is None and mobility_enabled and req.mobile and t > req.deadline_slot:
@@ -302,13 +302,9 @@ def run_horizon(
 
         slot_wall.append(time.perf_counter() - t0)
 
-    losses = {d.id: utility.row_loss(d, decisions[d.id], cfg) for d in ordered}
+    states = {d.id: utility.row_loss(d, decisions[d.id], cfg) for d in ordered}
     return HorizonResult(
-        decisions=decisions,
-        states=states,
-        losses=losses,
-        committed_kw=committed,
-        slot_wall_s=slot_wall,
+        decisions=decisions, states=states, committed_kw=committed, slot_wall_s=slot_wall
     )
 
 

@@ -262,10 +262,11 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Runtime state (owned by the engine; everything above is immutable)
+# Runtime state (owned by the horizon loop; everything above is immutable)
 # ---------------------------------------------------------------------------
-# Only devices carry state: each slot `heuristic.run_horizon` derives the
-# aggregators' published spare capacity from the loads `schedule_slot` returns.
+# Only devices carry state, and only inside `heuristic.run_horizon`, which
+# derives the spare capacity from the loads `schedule_slot` returns; a
+# device's final state is read from its row (`utility.row_loss`).
 
 
 @dataclass(slots=True)
@@ -281,10 +282,10 @@ class DeviceState:
     construction and set again by whoever changes `extra_demand_kwh` (the
     horizon loop, when a transit starts), so the slot loop reads it
     without recomputing it. `progress_kwh` counts all energy delivered
-    and is capped at `target_kwh`. `completed`, a deficit within `EPS`,
-    is the one rule for met: such a device is never served and pays no
-    deadline term. The state holds no loss: a device's loss is scored
-    from its finished decision row (`utility.row_loss`).
+    and is capped at `target_kwh`; a device whose deficit is within
+    `EPS` is met and leaves the loop. The state holds no loss and
+    outlives no run: a device's loss and final state are scored from
+    its finished decision row (`utility.row_loss`).
     """
 
     request: DeviceRequest
@@ -295,10 +296,6 @@ class DeviceState:
 
     def __post_init__(self) -> None:
         self.target_kwh = self.request.demand_kwh + self.extra_demand_kwh
-
-    @property
-    def completed(self) -> bool:
-        return self.target_kwh - self.progress_kwh <= EPS
 
     @property
     def available_energy_kwh(self) -> float:

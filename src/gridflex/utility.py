@@ -6,10 +6,11 @@ per-slot movement cost (weighted 2x when rolled into a slot total), and
 the stationary penalty fires only when a non-mobile device changes
 cluster. Each term is clamped at the configured penalty ceiling so long
 horizons cannot overflow a row total. `row_loss` is the one place a
-device's loss is summed: the engine, the replay check and the exact
-solver all score a finished decision row through it. Only its Move slots
-go through `slot_loss`; a late slot of any other action costs exactly
-its deadline term, which `row_loss` adds directly.
+device's loss is summed and its final progress, extra demand and
+completion are read: the engine, the replay check and the exact solver
+all score a finished decision row through it. Only its Move slots go
+through `slot_loss`; a late slot of any other action costs exactly its
+deadline term, which `row_loss` adds directly.
 """
 
 from __future__ import annotations
@@ -123,17 +124,23 @@ def slot_loss(
 
 @dataclass(frozen=True)
 class RowLoss:
-    """One device's loss over its whole decision row.
+    """One device's loss and final state over its whole decision row.
 
     `total` is the slot-order sum of each slot's `LossBreakdown.total`;
     the components are summed alongside for reporting, so `total` need
     not equal deadline + 2 * mobility + stationary to the last bit.
+    `progress_kwh` is the energy the row delivers, `extra_demand_kwh`
+    the movement energy its transits commit, and `completed`, a deficit
+    against demand plus extra within `EPS`, the one rule for met.
     """
 
     total: float
     deadline_loss: float
     mobility_loss: float  # raw, before the 2x weight
     stationary_penalty: float
+    progress_kwh: float
+    extra_demand_kwh: float
+    completed: bool
 
 
 def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -> RowLoss:
@@ -142,7 +149,8 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
     Progress is rebuilt slot by slot with the engine's update (delivery
     capped at demand plus movement-incurred extra demand, a new transit
     committing its full cost when it starts), so a row scored here is
-    bit-identical whether it came from the engine or from elsewhere.
+    bit-identical whether it came from the engine or from elsewhere,
+    and the progress and extra it ends with are the device's final ones.
     Only slots that can cost something are scored: a Move, or a slot past
     the deadline with a deficit above `EPS`. Every term of any other slot is
     exactly 0, and adding 0.0 changes no sum. So scoring also starts at
@@ -150,8 +158,8 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
     cannot cost (most of a row) is passed over with one type check: it
     changes no progress either. Once a Serve meets the demand and only
     Idle cells follow (most rows end so), the walk stops: every later
-    slot costs exactly 0. Only a Move slot goes through
-    `slot_loss`. Any other late slot has mobility and stationary terms
+    slot costs exactly 0 and changes nothing. Only a Move slot goes
+    through `slot_loss`. Any other late slot has mobility and stationary terms
     of 0.0, so its `LossBreakdown.total` is d + 2.0 * 0.0 + 0.0 == d for
     its deadline term d >= 0; that term is added to `total` and the
     deadline sum directly, with the same bits.
@@ -188,4 +196,4 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
         d_sum += b.deadline_loss
         m_sum += b.mobility_loss
         p_sum += b.stationary_penalty
-    return RowLoss(total, d_sum, m_sum, p_sum)
+    return RowLoss(total, d_sum, m_sum, p_sum, progress, extra, demand + extra - progress <= EPS)

@@ -195,7 +195,7 @@ class TestAcceptance:
             DeviceRequest("b", 0, 6, True, 1.0, 6.0, 1.8, PowerModeSet((2.0,)), 0),
         ]
         result = run_horizon(cfg, devices)
-        mover = result.losses["b"]
+        mover = result.states["b"]
         n_transits = sum(
             1
             for i, a in enumerate(result.decisions["b"])

@@ -519,6 +519,46 @@ class TestIdInMessage:
         )
         assert err.count("\n") == 1
 
+    def test_unreadable_path(self, tmp_path, capsys):
+        path = tmp_path / "no\nsuch.json"
+        assert main(["run", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot open {tmp_path}/no\\nsuch.json: ")
+        assert err.count("\n") == 1
+
+
+def _control_char_ids(doc):
+    doc["id"] = "sc\nid"
+    doc["devices"][0]["id"] = "a\tb\nc"
+
+
+class TestIdInTable:
+    """Ids go into a table escaped, so each device and the scenario take
+    one line whatever their ids hold."""
+
+    def test_run_table(self, micro_file, tmp_path, capsys):
+        bad = write_mutated(micro_file, tmp_path, _control_char_ids)
+        devices = load_scenario(bad).devices
+        assert main(["run", str(bad), "--format", "table"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "scenario   sc\\nid"
+        assert lines[4] == "device\tloss\tprogress_kwh\tcompleted"
+        rows = lines[5:]
+        assert len(rows) == len(devices)
+        assert [row.split("\t")[0] for row in rows] == sorted(
+            "a\\tb\\nc" if d.id == "a\tb\nc" else d.id for d in devices
+        )
+        assert all(row.count("\t") == 3 for row in rows)
+
+    def test_baseline_compare_table(self, micro_file, tmp_path, capsys):
+        bad = write_mutated(micro_file, tmp_path, _control_char_ids)
+        argv = ["experiment", "baseline-compare", "--scenario", str(bad), "--format", "table"]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "scenario sc\\nid"
+        # the scenario line, a loss per scheduler, an improvement per baseline
+        assert len(lines) == 1 + 3 + 2
+
 
 class TestSolveExact:
     def test_micro_instance(self, micro_file, tmp_path):

@@ -11,6 +11,7 @@ from gridflex.heuristic import (
     schedule_slot,
 )
 from gridflex.model import (
+    EPS,
     DeviceRequest,
     DeviceState,
     IDLE,
@@ -287,6 +288,7 @@ class TestRunHorizon:
         state = result.states["a"]
         assert result.total_loss == 0.0
         assert state.progress_kwh == pytest.approx(3.0)
+        assert state.completed
         done_by = max(
             t for t, action in enumerate(result.decisions["a"]) if isinstance(action, Serve)
         )
@@ -362,7 +364,7 @@ class TestRunHorizon:
             1 for a in result.decisions["b"] if isinstance(a, Move)
         )
         assert n_move_slots > 0
-        assert 2.0 * result.losses["b"].mobility_loss == pytest.approx(2 * 0.15 * n_move_slots)
+        assert 2.0 * mover.mobility_loss == pytest.approx(2 * 0.15 * n_move_slots)
         assert mover.extra_demand_kwh == pytest.approx(0.15 * n_move_slots)
 
     def test_transit_start_grows_target_and_deficit(self, monkeypatch):
@@ -377,21 +379,21 @@ class TestRunHorizon:
 
         def recording(cluster, *args):
             for st in cluster:
+                # the stored target is demand plus extra on every call
+                assert st.target_kwh == st.request.demand_kwh + st.extra_demand_kwh
                 if st.request.id == "b" and st.extra_demand_kwh > 0.0 and not landed:
-                    landed.append((st.extra_demand_kwh, st.target_kwh, st.progress_kwh,
-                                   st.completed))
+                    landed.append((st.extra_demand_kwh, st.target_kwh, st.progress_kwh))
             return original(cluster, *args)
 
         monkeypatch.setattr(heuristic, "schedule_slot", recording)
         result = run_horizon(cfg, devs)
         assert any(isinstance(a, Move) for a in result.decisions["b"])
-        extra, target, progress, completed = landed[0]
+        extra, target, progress = landed[0]
         assert extra == 0.15  # one one-slot hop
         assert target == 6.0 + 0.15
-        assert target - progress > 0.0
-        assert not completed
-        final = result.states["b"]
-        assert final.target_kwh == final.request.demand_kwh + final.extra_demand_kwh
+        # not met on landing: the deficit exceeds EPS
+        assert target - progress > EPS
+        assert result.states["b"].extra_demand_kwh == extra
 
     def test_online_causality(self):
         # devices arriving after slot t cannot influence decisions at slots <= t
@@ -464,8 +466,8 @@ def rows_of(result):
 
 
 def assert_replay_matches(cfg, devs, result):
-    """Replay reproduces the total bit for bit, and every row's loss and
-    progress match the independent oracle."""
+    """Replay reproduces the total bit for bit, and every row's loss,
+    progress, extra and completion match the independent oracle."""
     replayed = engine.replay_loss(Scenario("live-set", cfg, tuple(devs)), result.decisions)
     assert replayed == result.total_loss
     per_device = {
@@ -474,9 +476,11 @@ def assert_replay_matches(cfg, devs, result):
             "deadline_loss": loss.deadline_loss,
             "mobility_loss_weighted": 2.0 * loss.mobility_loss,
             "stationary_penalty": loss.stationary_penalty,
-            "progress_kwh": result.states[dev_id].progress_kwh,
+            "progress_kwh": loss.progress_kwh,
+            "extra_demand_kwh": loss.extra_demand_kwh,
+            "completed": loss.completed,
         }
-        for dev_id, loss in result.losses.items()
+        for dev_id, loss in result.states.items()
     }
     assert oracle_mismatches(devs, cfg, result.decisions, per_device) == []
 
@@ -509,7 +513,8 @@ class TestLiveSet:
         assert rows_of(result) == {
             "b": ["I", "I", "M:0:1", "S:1:1", "S:1:1", "I", "I", "I"],
         }
-        assert result.states["b"].aggregator == 1
+        moves = [a for a in result.decisions["b"] if isinstance(a, Move)]
+        assert moves[-1].target == 1
         assert_replay_matches(cfg, devs, result)
 
     def test_two_slot_transit_lands_at_target(self, monkeypatch):
@@ -531,9 +536,9 @@ class TestLiveSet:
             "c": ["S:1:2"] * 8,
         }
         assert sorted(dev_id for dev_id, slot in members if slot == 4) == ["a", "b", "c"]
-        st = result.states["b"]
-        assert st.aggregator == 2
-        assert st.extra_demand_kwh == cfg.movement.total_cost(0, 2)
+        moves = [a for a in result.decisions["b"] if isinstance(a, Move)]
+        assert moves[-1].target == 2
+        assert result.states["b"].extra_demand_kwh == cfg.movement.total_cost(0, 2)
         assert_replay_matches(cfg, devs, result)
 
     def test_shortfall_within_eps_is_met(self, monkeypatch):
@@ -547,7 +552,7 @@ class TestLiveSet:
         assert members == [("a", 0)]
         st = result.states["a"]
         assert st.completed and st.progress_kwh == 1.0
-        assert result.losses["a"].deadline_loss == 0.0
+        assert st.deadline_loss == 0.0
         assert result.total_loss == 0.0
         assert_replay_matches(cfg, devs, result)
 

@@ -76,7 +76,7 @@ class TestDeadlineLoss:
         assert deadline_loss(10.0, 10.0, 9, 6, 1.6) == 0.0
 
     def test_deficit_within_eps_is_met(self):
-        # the one threshold for met, as `DeviceState.completed` reads it
+        # the one threshold for met, as `RowLoss.completed` reads it
         assert deadline_loss(0.0, EPS, 9, 6, 1.6) == 0.0
         assert deadline_loss(0.0, 2 * EPS, 9, 6, 1.6) > 0.0
 
@@ -194,7 +194,8 @@ class TestSlotLoss:
 
 def slot_by_slot(request, row, cfg):
     """Reference for `row_loss`: every slot of the row through `slot_loss`,
-    summed in slot order, with the engine's progress update."""
+    summed in slot order, with the engine's progress update; the final
+    progress and extra, and met as the horizon loop tests it."""
     progress = extra = 0.0
     total = d_sum = m_sum = p_sum = 0.0
     for slot, action in enumerate(row):
@@ -208,7 +209,8 @@ def slot_by_slot(request, row, cfg):
         d_sum += b.deadline_loss
         m_sum += b.mobility_loss
         p_sum += b.stationary_penalty
-    return RowLoss(total, d_sum, m_sum, p_sum)
+    target = request.demand_kwh + extra
+    return RowLoss(total, d_sum, m_sum, p_sum, progress, extra, target - progress <= EPS)
 
 
 # demand is met at slot 8 (7 slots of 1.5 kWh, capped at 10 kWh); what follows
@@ -261,19 +263,28 @@ class TestRowLoss:
         assert want.deadline_loss > 0.0
         assert row_loss(request, row, cfg) == want
 
+    def test_completed_reads_the_deficit_against_demand_plus_extra(self):
+        # a one-slot hop 0 -> 1 commits 0.15 kWh of extra; 4 slots of
+        # 1.5 kWh then meet the 6 kWh demand but not demand plus extra
+        cfg = make_cfg()
+        request = make_request(demand=6.0)
+        short = [Move(0, 1)] + [Serve(3, 1)] * 4 + [IDLE] * 15
+        got = row_loss(request, short, cfg)
+        assert got.extra_demand_kwh == 0.15
+        assert got.progress_kwh == 6.0
+        assert not got.completed
+        # one more slot delivers the extra, capped at demand plus extra
+        served = [Move(0, 1)] + [Serve(3, 1)] * 5 + [IDLE] * 14
+        got = row_loss(request, served, cfg)
+        assert got.progress_kwh == 6.0 + 0.15
+        assert got.completed
+
 
 class TestDeviceStateLedger:
     def test_target_set_at_construction(self):
         request = make_state(initial=1.0).request
         state = DeviceState(request=request, aggregator=0, extra_demand_kwh=0.3)
         assert state.target_kwh == request.demand_kwh + 0.3
-        state.progress_kwh = 1.0
-        assert not state.completed
-        # `completed` reads the deficit against the target, not the demand
-        state.progress_kwh = request.demand_kwh
-        assert not state.completed
-        state.progress_kwh = state.target_kwh
-        assert state.completed
 
 
     def test_available_energy_tracks_moves(self):
