@@ -1,21 +1,23 @@
 """Command-line front end.
 
 Subcommands: generate, ingest, run, validate, solve-exact, and the
-experiment suites. Exit codes: 0 success, 1 usage error (bad argument
-or unreadable file), 2 validation or generation failure, or a malformed
-or undecodable input document, 3 exact-solver cap exceeded. Table output
-is rendered from the same result objects that JSON output serializes,
-and all JSON is compact and strict: `run` writes `RunResult.json_chunks`,
-every other command goes through `_write_json`.
+experiment suites. Exit codes: 0 success, 1 usage error (bad argument,
+unreadable file or unwritable output), 2 validation or generation
+failure, or a malformed or undecodable input document, 3 exact-solver
+cap exceeded. Table output is rendered from the same result objects that
+JSON output serializes, and all JSON is compact and strict. Every
+command writes through `_write`: `run` streams `RunResult.json_chunks`.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import engine, exact, workload
 from .model import ScenarioFormatError, load_scenario, printable_id, scenario_to_dict
@@ -67,17 +69,34 @@ def _mobile_fraction(text: str) -> float:
     return value
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+class _StdoutError(Exception):
+    """stdout is closed or a write to it failed."""
+
+
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Write `chunks` in order to the file `out`, or to stdout when `out`
+    is None. A file error propagates as its `OSError`; a stdout error
+    is raised as `_StdoutError`, since it names no file."""
     if out:
-        Path(out).write_text(text)
-    else:
-        print(text, end="")
+        with open(out, "w") as f:
+            f.writelines(chunks)
+        return
+    if sys.stdout is None:
+        raise _StdoutError("stdout is closed")
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        # dropped, so the interpreter's exit flush does not try the
+        # unwritten rest again and report it a second time
+        sys.stdout = None
+        raise _StdoutError(exc.strerror or str(exc)) from exc
 
 
 def _write_json(doc: dict, out: str | None) -> None:
     # compact: with `indent` set the json module drops to its pure-Python
     # encoder; strict: NaN and Infinity are not JSON
-    _write_or_print(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n", out)
+    _write((json.dumps(doc, sort_keys=True, allow_nan=False), "\n"), out)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -112,20 +131,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     mobility = None if args.mobility is None else args.mobility == "on"
     result = engine.run(scenario, args.scheduler, mobility=mobility)
     if args.format == "table":
-        _write_or_print(_render_run_table(result), args.out)
-    elif args.out:
-        with open(args.out, "w") as f:
-            _write_chunks(result, f)
+        _write((_render_run_table(result),), args.out)
     else:
-        _write_chunks(result, sys.stdout)
+        # the `_write_json` text of `result.to_dict()`, a decision row at
+        # a time: the whole document is never built as one string
+        _write(itertools.chain(result.json_chunks(), ("\n",)), args.out)
     return EXIT_OK
-
-
-def _write_chunks(result: engine.RunResult, f) -> None:
-    """The `_write_json` text of `result.to_dict()`, a decision row at a
-    time: the whole document is never built as one string."""
-    f.writelines(result.json_chunks())
-    f.write("\n")
 
 
 def _render_run_table(result: engine.RunResult) -> str:
@@ -151,7 +162,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     doc = json.loads(Path(args.result).read_text())
     decisions = engine.decisions_from_dict(doc)
     report = exact.validate_schedule(decisions, scenario.config, list(scenario.devices))
-    print(report.summary())
+    _write((report.summary(), "\n"), None)
     return EXIT_OK if report.all_pass else EXIT_VALIDATION
 
 
@@ -219,7 +230,7 @@ def _oracle_gap(args: argparse.Namespace) -> tuple[dict, str]:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     doc, table = args.suite(args)
     if args.format == "table":
-        _write_or_print(table, args.out)
+        _write((table,), args.out)
     else:
         _write_json(doc, args.out)
     return EXIT_OK
@@ -298,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except _StdoutError as exc:
+        print(f"cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"cannot open {printable_id(str(exc.filename))}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE

@@ -177,7 +177,7 @@ def run(
         per_device[dev_id] = {
             "loss_total": row.total,
             "deadline_loss": row.deadline_loss,
-            "mobility_loss_weighted": 2.0 * row.mobility_loss,
+            "mobility_loss_weighted": row.mobility_loss_weighted,
             "stationary_penalty": row.stationary_penalty,
             "progress_kwh": row.progress_kwh,
             "extra_demand_kwh": row.extra_demand_kwh,
@@ -198,14 +198,12 @@ def run(
 def replay_loss(scenario: Scenario, decisions: dict[str, list[Action]]) -> float:
     """Recompute the total loss of a decision matrix from scratch.
 
-    Scores each row with `utility.row_loss` and sums the rows in id
-    order; must reproduce a RunResult's total exactly.
+    Scores each row with `utility.row_loss` and sums them with
+    `utility.total_loss`; must reproduce a RunResult's total exactly.
     """
-    by_id = scenario.device_map()
-    return sum(
-        utility.row_loss(by_id[dev_id], decisions[dev_id], scenario.config).total
-        for dev_id in sorted(decisions)
-    )
+    by_id, cfg = scenario.device_map(), scenario.config
+    rows = {dev_id: utility.row_loss(by_id[dev_id], row, cfg) for dev_id, row in decisions.items()}
+    return utility.total_loss(rows)
 
 
 # ---------------------------------------------------------------------------

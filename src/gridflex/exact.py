@@ -95,7 +95,9 @@ class FeasibilityReport:
                 lines.append(f"({name}) pass")
             else:
                 dev, slot = check.witness
-                lines.append(f"({name}) FAIL at device={dev} slot={slot}: {check.description}")
+                lines.append(
+                    f"({name}) FAIL at device={printable_id(dev)} slot={slot}: {check.description}"
+                )
         return "\n".join(lines)
 
 
@@ -319,13 +321,10 @@ class _Searcher:
         decisions = {
             dev.id: list(self.best_actions[k]) for k, dev in enumerate(self.devices)
         }
-        # rescore through the engine's row scorer so the reported optimum
+        # rescore through the engine's scorers so the reported optimum
         # is float-identical to any engine-scored schedule it ties with
-        loss = sum(
-            utility.row_loss(dev, decisions[dev.id], self.cfg).total
-            for dev in sorted(self.devices, key=lambda d: d.id)
-        )
-        return ExactResult(loss, decisions, self.nodes)
+        rows = {dev.id: utility.row_loss(dev, decisions[dev.id], self.cfg) for dev in self.devices}
+        return ExactResult(utility.total_loss(rows), decisions, self.nodes)
 
     def _enter_slot(self, t: int, acc: float) -> None:
         if t == self.tau:

@@ -207,7 +207,7 @@ class HorizonResult:
 
     @property
     def total_loss(self) -> float:
-        return sum(self.states[dev_id].total for dev_id in sorted(self.states))
+        return utility.total_loss(self.states)
 
 
 def run_horizon(

@@ -496,15 +496,21 @@ def _numbers(doc: dict, key: str) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-def _movement_from_dict(doc: dict) -> MovementMatrix:
+def _movement_from_dict(doc: dict, num_aggregators: int) -> MovementMatrix:
+    """Each pair joins two different aggregators of the scenario's
+    `num_aggregators` and is listed once, or the document is malformed; a
+    matrix whose own size differs is left to `validate_config`."""
     try:
         n = _int_field(doc, "num_aggregators")
-        listed = {
-            (_int_field(p, "from"), _int_field(p, "to")): MovementOption(
+        listed: dict[tuple[int, int], MovementOption] = {}
+        for p in doc["pairs"]:
+            i, j = _int_field(p, "from"), _int_field(p, "to")
+            in_range = 0 <= i < num_aggregators and 0 <= j < num_aggregators
+            if i == j or not in_range or (i, j) in listed:
+                raise ValueError(f"pair {i}->{j} is diagonal, out of range or repeated")
+            listed[(i, j)] = MovementOption(
                 _int_field(p, "delay_slots"), _number(p["cost_kwh_per_slot"], "cost_kwh_per_slot")
             )
-            for p in doc["pairs"]
-        }
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad movement matrix: {exc}") from exc
 
@@ -554,12 +560,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 f"unsupported schema_version {version!r} (expected {SCENARIO_SCHEMA_VERSION})"
             )
         cfg_doc = doc["config"]
+        num_aggregators = _int_field(cfg_doc, "num_aggregators")
         cfg = SystemConfig(
-            num_aggregators=_int_field(cfg_doc, "num_aggregators"),
+            num_aggregators=num_aggregators,
             budgets_kw=_numbers(cfg_doc, "budgets_kw"),
             horizon_slots=_int_field(cfg_doc, "horizon_slots"),
             slot_hours=_number(cfg_doc["slot_hours"], "slot_hours"),
-            movement=_movement_from_dict(cfg_doc["movement"]),
+            movement=_movement_from_dict(cfg_doc["movement"], num_aggregators),
             beta_max=_number(cfg_doc.get("beta_max", DEFAULT_BETA_MAX), "beta_max"),
         )
         # one PowerModeSet per distinct level tuple, as the generator

@@ -1,23 +1,25 @@
 """The three-term loss model and the scoring of decision rows.
 
 All functions are pure. Losses are non-negative by construction: the
-deadline term is deficit * exp(rate * lateness), the mobility term is the
-per-slot movement cost (weighted 2x when rolled into a slot total), and
-the stationary penalty fires only when a non-mobile device changes
-cluster. Each term is clamped at the configured penalty ceiling so long
-horizons cannot overflow a row total. `row_loss` is the one place a
-device's loss is summed and its final progress, extra demand and
-completion are read: the engine, the replay check and the exact solver
-all score a finished decision row through it. Only its Move slots go
-through `slot_loss`; a late slot of any other action costs exactly its
-deadline term, which `row_loss` adds directly.
+deadline term is deficit * exp(rate * lateness), the movement term is
+twice the edge's per-slot cost on each slot in transit, and the
+stationary penalty fires only when a non-mobile device changes cluster.
+The deadline term is clamped at the configured penalty ceiling so long
+horizons cannot overflow a row total. Each level of the loss is defined
+once: `slot_loss` gives one slot's three weighted terms, `row_loss` sums
+a device's decision row and reads its final progress, extra demand and
+completion, and `total_loss` sums the rows in id order. The engine, the
+replay check and the exact solver all score through `row_loss` and
+`total_loss`, so they agree to the bit. Only Move slots go through
+`slot_loss`; a late slot of any other action costs exactly its deadline
+term, which `row_loss` adds directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .model import (
     DEFAULT_BETA_MAX,
@@ -27,29 +29,12 @@ from .model import (
     DeviceRequest,
     Idle,
     Move,
-    MovementMatrix,
     Serve,
     SystemConfig,
 )
 
 # exp() overflows ~709; anything near that is clamped to the ceiling anyway
 _EXP_ARG_LIMIT = 700.0
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """One slot's loss split into its three components.
-
-    `total` always equals deadline + 2 * mobility + stationary.
-    """
-
-    deadline_loss: float
-    mobility_loss: float
-    stationary_penalty: float
-
-    @property
-    def total(self) -> float:
-        return self.deadline_loss + 2.0 * self.mobility_loss + self.stationary_penalty
 
 
 def deadline_loss(
@@ -76,35 +61,21 @@ def deadline_loss(
     return min(deficit * math.exp(arg), beta_max)
 
 
-def mobility_loss(matrix: MovementMatrix, action: Action) -> float:
-    """Per-slot movement cost: the edge's per-slot kWh while in transit, else 0."""
-    if isinstance(action, Move):
-        return matrix.option(action.origin, action.target).cost_kwh_per_slot
-    return 0.0
-
-
-def stationary_penalty(
-    mobile: bool, origin: int, target: int, beta_max: float = DEFAULT_BETA_MAX
-) -> float:
-    """Prohibitive penalty when a non-mobile device changes cluster."""
-    if mobile or origin == target:
-        return 0.0
-    return beta_max
-
-
 def slot_loss(
     request: DeviceRequest,
     progress_kwh: float,
     action: Action,
     slot: int,
     cfg: SystemConfig,
-) -> LossBreakdown:
-    """Loss breakdown for one device in one slot.
+) -> tuple[float, float, float]:
+    """One device's weighted loss terms in one slot: (deadline, movement,
+    stationary).
 
-    Deadline loss is evaluated against the progress already updated for
-    this slot's service (delivered energy counts through the current
-    slot). Movement slots charge both the per-slot movement cost and,
-    when applicable, the running deadline loss.
+    The deadline term is evaluated against the progress already updated
+    for this slot's service (delivered energy counts through the current
+    slot). On a Move slot the movement term is 2x the edge's per-slot
+    kWh, and the stationary term is `beta_max` when a non-mobile device
+    moves between two different clusters; on any other slot both are 0.0.
     """
     d_loss = deadline_loss(
         progress_kwh,
@@ -114,21 +85,21 @@ def slot_loss(
         request.criticality,
         cfg.beta_max,
     )
-    m_loss = mobility_loss(cfg.movement, action)
-    if isinstance(action, Move):
-        pen = stationary_penalty(request.mobile, action.origin, action.target, cfg.beta_max)
-    else:
-        pen = 0.0
-    return LossBreakdown(d_loss, m_loss, pen)
+    if not isinstance(action, Move):
+        return d_loss, 0.0, 0.0
+    movement = 2.0 * cfg.movement.option(action.origin, action.target).cost_kwh_per_slot
+    changes_cluster = not request.mobile and action.origin != action.target
+    return d_loss, movement, cfg.beta_max if changes_cluster else 0.0
 
 
-@dataclass(frozen=True)
+# slotted: a run, a replay and the exact solver each hold one per device
+@dataclass(frozen=True, slots=True)
 class RowLoss:
     """One device's loss and final state over its whole decision row.
 
-    `total` is the slot-order sum of each slot's `LossBreakdown.total`;
-    the components are summed alongside for reporting, so `total` need
-    not equal deadline + 2 * mobility + stationary to the last bit.
+    `total` is the slot-order sum of each slot's three `slot_loss` terms;
+    the terms are summed alongside for reporting, so `total` need not
+    equal the three sums added together to the last bit.
     `progress_kwh` is the energy the row delivers, `extra_demand_kwh`
     the movement energy its transits commit, and `completed`, a deficit
     against demand plus extra within `EPS`, the one rule for met.
@@ -136,7 +107,7 @@ class RowLoss:
 
     total: float
     deadline_loss: float
-    mobility_loss: float  # raw, before the 2x weight
+    mobility_loss_weighted: float
     stationary_penalty: float
     progress_kwh: float
     extra_demand_kwh: float
@@ -159,10 +130,10 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
     changes no progress either. Once a Serve meets the demand and only
     Idle cells follow (most rows end so), the walk stops: every later
     slot costs exactly 0 and changes nothing. Only a Move slot goes
-    through `slot_loss`. Any other late slot has mobility and stationary terms
-    of 0.0, so its `LossBreakdown.total` is d + 2.0 * 0.0 + 0.0 == d for
-    its deadline term d >= 0; that term is added to `total` and the
-    deadline sum directly, with the same bits.
+    through `slot_loss`, and adds d + m + p to `total`. Any other late slot
+    has movement and stationary terms of 0.0, so that sum is
+    d + 0.0 + 0.0 == d for its deadline term d >= 0; d is added to `total`
+    and the deadline sum directly, with the same bits.
     """
     demand = request.demand_kwh
     deadline = request.deadline_slot
@@ -191,9 +162,16 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
                 total += d
                 d_sum += d
             continue
-        b = slot_loss(request, progress, action, slot, cfg)
-        total += b.total
-        d_sum += b.deadline_loss
-        m_sum += b.mobility_loss
-        p_sum += b.stationary_penalty
+        d, m, p = slot_loss(request, progress, action, slot, cfg)
+        total += d + m + p
+        d_sum += d
+        m_sum += m
+        p_sum += p
     return RowLoss(total, d_sum, m_sum, p_sum, progress, extra, demand + extra - progress <= EPS)
+
+
+def total_loss(rows: Mapping[str, RowLoss]) -> float:
+    """The cumulative loss of a decision matrix: the row totals of `rows`
+    (keyed by device id) summed in id order, the one order in which the
+    engine, a replay and the exact solver agree to the bit."""
+    return sum(rows[dev_id].total for dev_id in sorted(rows))

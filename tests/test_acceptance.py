@@ -205,7 +205,7 @@ class TestAcceptance:
         assert n_transits >= 1
         want_mobility = float(2 * mpmath.mpf(2) * mpmath.mpf("0.15") * n_transits)
         checks.append(
-            abs(2.0 * mover.mobility_loss - want_mobility) <= rel * want_mobility
+            abs(mover.mobility_loss_weighted - want_mobility) <= rel * want_mobility
         )
 
         for args, want in (

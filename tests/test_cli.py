@@ -3,9 +3,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridflex
 from gridflex import engine, heuristic, workload
 from gridflex.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from gridflex.model import Move, Serve, load_scenario, save_scenario
@@ -533,8 +538,8 @@ def _control_char_ids(doc):
 
 
 class TestIdInTable:
-    """Ids go into a table escaped, so each device and the scenario take
-    one line whatever their ids hold."""
+    """Ids go into a table or report escaped, so each device and the
+    scenario take one line whatever their ids hold."""
 
     def test_run_table(self, micro_file, tmp_path, capsys):
         bad = write_mutated(micro_file, tmp_path, _control_char_ids)
@@ -558,6 +563,76 @@ class TestIdInTable:
         assert lines[0] == "scenario sc\\nid"
         # the scenario line, a loss per scheduler, an improvement per baseline
         assert len(lines) == 1 + 3 + 2
+
+
+    def test_validate_report(self, micro_file, tmp_path, capsys):
+        def _newline_id(doc):
+            doc["devices"][0]["id"] = "a\nb"
+
+        bad = write_mutated(micro_file, tmp_path, _newline_id)
+        out = tmp_path / "result.json"
+        assert main(["run", str(bad), "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        doc["decisions"]["a\nb"][0] = "S:9:0"
+        out.write_text(json.dumps(doc))
+        assert main(["validate", str(bad), str(out)]) == EXIT_VALIDATION
+        lines = capsys.readouterr().out.splitlines()
+        # one line per feasibility rule
+        assert len(lines) == 8
+        assert lines[0].startswith("(i) FAIL at device=a\\nb slot=0: ")
+
+
+class TestStdout:
+    """A stdout that is closed or cannot be written is one stderr line
+    and exit 1, whatever the command."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{micro}"],
+            ["run", "{micro}", "--format", "table"],
+            ["validate", "{micro}", "{result}"],
+            ["solve-exact", "{micro}"],
+            ["generate", "--devices", "20"],
+            ["ingest", "bundled"],
+            ["experiment", "oracle-gap", "--samples", "1"],
+        ],
+        ids=["run", "run-table", "validate", "solve-exact", "generate", "ingest", "experiment"],
+    )
+    def test_closed_stdout(self, argv, micro_file, tmp_path, monkeypatch, capsys):
+        result = tmp_path / "result.json"
+        assert main(["run", str(micro_file), "--out", str(result)]) == EXIT_OK
+        argv = [a.format(micro=micro_file, result=result) for a in argv]
+        # what the interpreter leaves when started with stdout closed
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "cannot write stdout: stdout is closed\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--format", "table"]], ids=["json", "table"])
+    def test_broken_pipe(self, extra, micro_file):
+        # the pipe's read end is closed before the command starts, so the
+        # first write fails with EPIPE; the table is smaller than the
+        # stream's buffer, so only the flush reaches the pipe
+        src = str(Path(gridflex.__file__).resolve().parents[1])
+        paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as from a shell
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gridflex.cli", "run", str(micro_file), *extra],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestSolveExact:

@@ -488,6 +488,33 @@ class TestOracleInequality:
                     )
 
 
+def order_sensitive_scenario():
+    """Two devices contend for six 1 kWh slots and one is 1 kWh short a
+    slot late, at about 1e8; two 5e-9 kWh devices are never served and
+    pay about 5e-9 in each of the last two slots, below half an ulp of
+    1e8 each but not in pairs. So the id-order sum of row totals, the
+    reverse order and the search's slot-order sum all differ."""
+    kappa = math.log(1e8)
+    devices = (
+        make_request("a", [2], 3.0, 3, kappa=kappa),
+        make_request("b", [2], 3.0, 3, kappa=kappa),
+        make_request("c", [2], 5e-9, 3, kappa=0.01),
+        make_request("d", [2], 5e-9, 3, kappa=0.01),
+    )
+    return Scenario("order", make_cfg(budget=2.0, horizon=6), devices)
+
+
+class TestReplayAgreement:
+    def test_optimum_equals_its_replay_exactly(self):
+        # the solver and a replay both sum `row_loss` totals in id order
+        scenarios = [*workload.micro_instances(25, seed=5), order_sensitive_scenario()]
+        for scenario in scenarios:
+            result = solve_exact(ExactInstance(scenario))
+            assert result.loss == engine.replay_loss(scenario, result.decisions), (
+                scenario.scenario_id
+            )
+
+
 class TestGapReport:
     def test_ratio_one_when_heuristic_optimal(self):
         cfg = make_cfg(budget=2.0, horizon=4)

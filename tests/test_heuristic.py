@@ -364,7 +364,7 @@ class TestRunHorizon:
             1 for a in result.decisions["b"] if isinstance(a, Move)
         )
         assert n_move_slots > 0
-        assert 2.0 * mover.mobility_loss == pytest.approx(2 * 0.15 * n_move_slots)
+        assert mover.mobility_loss_weighted == pytest.approx(2 * 0.15 * n_move_slots)
         assert mover.extra_demand_kwh == pytest.approx(0.15 * n_move_slots)
 
     def test_transit_start_grows_target_and_deficit(self, monkeypatch):
@@ -474,7 +474,7 @@ def assert_replay_matches(cfg, devs, result):
         dev_id: {
             "loss_total": loss.total,
             "deadline_loss": loss.deadline_loss,
-            "mobility_loss_weighted": 2.0 * loss.mobility_loss,
+            "mobility_loss_weighted": loss.mobility_loss_weighted,
             "stationary_penalty": loss.stationary_penalty,
             "progress_kwh": loss.progress_kwh,
             "extra_demand_kwh": loss.extra_demand_kwh,

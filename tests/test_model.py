@@ -371,6 +371,21 @@ class TestScenarioRoundTrip:
         assert back == scenario_from_dict(scenario_to_dict(back))
 
     @pytest.mark.parametrize(
+        "pair",
+        [(0, 0), (9, 0), (1, -1), (0, 1)],
+        ids=["diagonal", "from-out-of-range", "to-negative", "repeated"],
+    )
+    def test_movement_pair_read_whole(self, pair):
+        # every pair is read: none may be ignored or overwritten by a later one
+        doc = scenario_to_dict(Scenario("p", make_config(), (make_device(),)))
+        i, j = pair
+        doc["config"]["movement"]["pairs"].append(
+            {"from": i, "to": j, "delay_slots": 3, "cost_kwh_per_slot": 0.4}
+        )
+        with pytest.raises(ScenarioFormatError, match=f"bad movement matrix: pair {i}->{j} is "):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
         "path, value, message",
         [
             (("devices", 0, "arrival_slot"), 0.7, "arrival_slot must be an integer"),

@@ -18,15 +18,7 @@ from gridflex.model import (
     Serve,
     SystemConfig,
 )
-from gridflex.utility import (
-    LossBreakdown,
-    RowLoss,
-    deadline_loss,
-    mobility_loss,
-    row_loss,
-    slot_loss,
-    stationary_penalty,
-)
+from gridflex.utility import RowLoss, deadline_loss, row_loss, slot_loss
 
 REL = 1e-9
 
@@ -133,63 +125,56 @@ class TestDeadlineLoss:
         assert b > a
 
 
-class TestMobilityLoss:
-    def test_idle_contributes_nothing(self):
-        cfg = make_cfg()
-        assert mobility_loss(cfg.movement, IDLE) == 0.0
-
-    def test_per_slot_cost_on_two_slot_edge(self):
-        mm = MovementMatrix.line(3, 0.15)
-        per_slot = mobility_loss(mm, Move(0, 2))
-        assert per_slot == pytest.approx(0.15)
-        assert per_slot * mm.option(0, 2).delay_slots == pytest.approx(0.30)
-
-    def test_one_slot_edge(self):
-        mm = MovementMatrix.line(2, 0.15)
-        assert mobility_loss(mm, Move(0, 1)) == pytest.approx(0.15)
-
-    def test_serve_contributes_nothing(self):
-        mm = MovementMatrix.line(2)
-        assert mobility_loss(mm, Serve(1, 0)) == 0.0
-
-
-class TestStationaryPenalty:
-    def test_mobile_device_exempt(self):
-        assert stationary_penalty(True, 0, 1, 1e9) == 0.0
-
-    def test_no_move_no_penalty(self):
-        assert stationary_penalty(False, 2, 2, 1e9) == 0.0
-
-    def test_stationary_cross_cluster_pays_max(self):
-        assert stationary_penalty(False, 0, 1, 1e9) == 1e9
+# demand 10, deadline 6, kappa 1.6: 6 kWh short two slots late
+_LATE_D = deadline_loss(4.0, 10.0, 8, 6, 1.6)
 
 
 class TestSlotLoss:
     def test_served_on_time_no_move_is_free(self):
         cfg = make_cfg()
-        assert slot_loss(make_request(), 2.0, Serve(1, 0), 3, cfg).total == 0.0
+        assert slot_loss(make_request(), 2.0, Serve(1, 0), 3, cfg) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "num_aggregators, mobile, action, want",
+        [
+            (3, True, IDLE, (_LATE_D, 0.0, 0.0)),
+            (3, True, Serve(1, 0), (_LATE_D, 0.0, 0.0)),
+            (2, True, Move(0, 1), (_LATE_D, 0.3, 0.0)),
+            (3, True, Move(0, 2), (_LATE_D, 0.3, 0.0)),
+            (3, True, Move(1, 2), (_LATE_D, 0.3, 0.0)),
+            (3, False, Move(2, 2), (_LATE_D, 0.0, 0.0)),
+            (3, False, Move(0, 1), (_LATE_D, 0.3, DEFAULT_BETA_MAX)),
+        ],
+        ids=[
+            "late-idle",
+            "late-serve",
+            "one-slot-edge",
+            "two-slot-edge",
+            "mobile-move",
+            "non-mobile-same-cluster",
+            "non-mobile-move",
+        ],
+    )
+    def test_weighted_terms(self, num_aggregators, mobile, action, want):
+        # two slots late; a Move's movement term is 2x the line edge's
+        # 0.15 kWh per slot, whatever the edge's delay
+        cfg = make_cfg(num_aggregators)
+        request = make_request(demand=10.0, deadline=6, kappa=1.6, mobile=mobile)
+        assert slot_loss(request, 4.0, action, 8, cfg) == want
 
     def test_moving_late_device_compounds_terms(self):
         # deficit 6, kappa 1.6, 2 slots late, plus one transit slot at 0.15
         cfg = make_cfg()
         request = make_request(demand=10.0, deadline=6, kappa=1.6)
-        breakdown = slot_loss(request, 4.0, Move(0, 1), 8, cfg)
+        d, m, p = slot_loss(request, 4.0, Move(0, 1), 8, cfg)
         want = hp_deadline_loss(6.0, 1.6, 2) + 2 * 0.15
-        assert breakdown.total == pytest.approx(want, rel=REL)
+        assert d + m + p == pytest.approx(want, rel=REL)
 
     def test_stationary_move_dominates(self):
         cfg = make_cfg()
-        breakdown = slot_loss(make_request(mobile=False), 0.0, Move(0, 1), 2, cfg)
-        assert breakdown.total >= cfg.beta_max
-
-    @given(
-        d=st.floats(0, 1e6),
-        m=st.floats(0, 10.0),
-        p=st.floats(0, 1e9),
-    )
-    def test_total_composition(self, d, m, p):
-        breakdown = LossBreakdown(d, m, p)
-        assert breakdown.total == d + 2.0 * m + p
+        d, m, p = slot_loss(make_request(mobile=False), 0.0, Move(0, 1), 2, cfg)
+        assert p == cfg.beta_max
+        assert d + m + p >= cfg.beta_max
 
 
 def slot_by_slot(request, row, cfg):
@@ -204,11 +189,11 @@ def slot_by_slot(request, row, cfg):
             progress += min(delivered, max(request.demand_kwh + extra - progress, 0.0))
         elif isinstance(action, Move) and (slot == 0 or row[slot - 1] != action):
             extra += cfg.movement.total_cost(action.origin, action.target)
-        b = slot_loss(request, progress, action, slot, cfg)
-        total += b.total
-        d_sum += b.deadline_loss
-        m_sum += b.mobility_loss
-        p_sum += b.stationary_penalty
+        d, m, p = slot_loss(request, progress, action, slot, cfg)
+        total += d + m + p
+        d_sum += d
+        m_sum += m
+        p_sum += p
     target = request.demand_kwh + extra
     return RowLoss(total, d_sum, m_sum, p_sum, progress, extra, target - progress <= EPS)
 
