@@ -4,12 +4,14 @@ criticalities, and cross-cluster mobility."""
 
 from .model import (
     DeviceRequest,
-    MovementMatrix,
     PowerModeSet,
     Scenario,
     SystemConfig,
+    line_movement,
     load_scenario,
+    movement_table,
     save_scenario,
+    uniform_movement,
     validate_config,
 )
 
@@ -17,12 +19,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DeviceRequest",
-    "MovementMatrix",
     "PowerModeSet",
     "Scenario",
     "SystemConfig",
+    "line_movement",
     "load_scenario",
+    "movement_table",
     "save_scenario",
+    "uniform_movement",
     "validate_config",
     "__version__",
 ]

@@ -181,8 +181,8 @@ def validate_schedule(
                     checks["v"].record(dev_id, t)
                 if bad_edge:
                     continue
-                opt = cfg.movement.option(action.origin, action.target)
-                extra += opt.delay_slots * opt.cost_kwh_per_slot
+                opt = cfg.movement[action.origin][action.target]
+                extra += opt.total_kwh
                 location, transit, landing = action.target, action, t + opt.delay_slots
 
             elif isinstance(action, Serve):
@@ -289,11 +289,8 @@ class _Searcher:
             start = max(t_next, self.free[k])
             pending = self.actions[k][t_next]
             if isinstance(pending, Move):
-                total += (
-                    2.0
-                    * (start - t_next)
-                    * self.cfg.movement.option(pending.origin, pending.target).cost_kwh_per_slot
-                )
+                edge = self.cfg.movement[pending.origin][pending.target]
+                total += 2.0 * (start - t_next) * edge.cost_kwh_per_slot
             if deficit <= EPS:
                 continue
             rate = dev.modes.max_kw * self.cfg.slot_hours
@@ -344,10 +341,8 @@ class _Searcher:
             for i, dev in enumerate(self.devices):
                 action = self.actions[i][t]
                 if isinstance(action, Move):
-                    slot_add += (
-                        2.0
-                        * self.cfg.movement.option(action.origin, action.target).cost_kwh_per_slot
-                    )
+                    edge = self.cfg.movement[action.origin][action.target]
+                    slot_add += 2.0 * edge.cost_kwh_per_slot
                 slot_add += utility.deadline_loss(
                     self.progress[i],
                     dev.demand_kwh,
@@ -404,8 +399,8 @@ class _Searcher:
             for target in range(self.cfg.num_aggregators):
                 if target == loc:
                     continue
-                opt = self.cfg.movement.option(loc, target)
-                cost = opt.delay_slots * opt.cost_kwh_per_slot
+                opt = self.cfg.movement[loc][target]
+                cost = opt.total_kwh
                 if cost > available + EPS:
                     continue
                 if t + opt.delay_slots > self.tau - 1:

@@ -26,7 +26,7 @@ from .model import (
     DeviceState,
     IDLE,
     Move,
-    MovementMatrix,
+    MovementTable,
     Scenario,
     Serve,
     SystemConfig,
@@ -133,7 +133,7 @@ def _serve(mode_index: int, aggregator: int) -> Serve:
 def mobility_decision(
     dev: DeviceState,
     residual_kw: Sequence[float],
-    matrix: MovementMatrix,
+    movement: MovementTable,
     slot: int,
     horizon_slots: int,
     beta_max: float,
@@ -176,10 +176,10 @@ def mobility_decision(
     for j, spare in enumerate(residual_kw):
         if j == here or spare + EPS < lowest:
             continue
-        opt = matrix.option(here, j)
+        opt = movement[here][j]
         if slot + opt.delay_slots > horizon_slots - 1:
             continue
-        cost = opt.delay_slots * opt.cost_kwh_per_slot
+        cost = opt.total_kwh
         if cost > dev.available_energy_kwh + EPS:
             continue
         key = (cost, j)
@@ -290,11 +290,12 @@ def run_horizon(
                     if move is not None:
                         # the transit lands by slot tau - 1: mobility_decision
                         # offers no later one
-                        delay = cfg.movement.option(move.origin, move.target).delay_slots
+                        opt = cfg.movement[move.origin][move.target]
+                        delay = opt.delay_slots
                         decisions[req.id][t : t + delay] = [move] * delay
                         st.aggregator = move.target
                         arrivals[t + delay].append(st)
-                        st.extra_demand_kwh += cfg.movement.total_cost(move.origin, move.target)
+                        st.extra_demand_kwh += opt.total_kwh
                         st.target_kwh = req.demand_kwh + st.extra_demand_kwh
                         continue
                 staying.append(st)

@@ -33,10 +33,6 @@ SCENARIO_SCHEMA_VERSION = 1
 MAX_HORIZON_SLOTS = 1000
 
 
-class UnknownAggregatorError(LookupError):
-    """Raised when an aggregator id is outside the configured range."""
-
-
 class ScenarioFormatError(ValueError):
     """Raised when a scenario document is structurally malformed."""
 
@@ -53,65 +49,48 @@ class MovementOption:
     delay_slots: int
     cost_kwh_per_slot: float
 
+    @property
+    def total_kwh(self) -> float:
+        """Energy of the whole move, its one definition: delay * per-slot cost."""
+        return self.delay_slots * self.cost_kwh_per_slot
 
-@dataclass(frozen=True)
-class MovementMatrix:
-    """Directed movement options between every ordered aggregator pair.
 
-    The diagonal is pinned to (0, 0); off-diagonal entries must have a
-    delay of at least one slot and a non-negative per-slot cost. Those
-    values are checked by `validate_config`, not at construction, as for
-    `PowerModeSet`. Lookup is total over valid aggregator indices.
-    """
+# Directed movement options between every ordered aggregator pair, an
+# n x n table indexed `[origin][target]`. The diagonal is pinned to
+# (0, 0); off-diagonal entries must have a delay of 1 to
+# `MAX_HORIZON_SLOTS` slots and a non-negative per-slot cost. Those values
+# are checked by `validate_config`, not at construction, as for
+# `PowerModeSet`.
+MovementTable = tuple[tuple[MovementOption, ...], ...]
 
-    num_aggregators: int
-    table: tuple[tuple[MovementOption, ...], ...]
 
-    def _check(self, aggregator: int) -> None:
-        if not 0 <= aggregator < self.num_aggregators:
-            raise UnknownAggregatorError(f"unknown aggregator id {aggregator}")
-
-    def option(self, origin: int, target: int) -> MovementOption:
-        self._check(origin)
-        self._check(target)
-        return self.table[origin][target]
-
-    def total_cost(self, origin: int, target: int) -> float:
-        """Total energy cost of one move: delay * per-slot cost; 0 on the diagonal."""
-        opt = self.option(origin, target)
-        return opt.delay_slots * opt.cost_kwh_per_slot
-
-    @classmethod
-    def _build(
-        cls, num_aggregators: int, off_diagonal: Callable[[int, int], MovementOption]
-    ) -> "MovementMatrix":
-        """The n x n matrix with the (0, 0) diagonal and `off_diagonal(i, j)`
-        everywhere else, asked for in row-major order."""
-        return cls(
-            num_aggregators,
-            tuple(
-                tuple(
-                    MovementOption(0, 0.0) if i == j else off_diagonal(i, j)
-                    for j in range(num_aggregators)
-                )
-                for i in range(num_aggregators)
-            ),
+def movement_table(
+    num_aggregators: int, off_diagonal: Callable[[int, int], MovementOption]
+) -> MovementTable:
+    """The n x n table with the (0, 0) diagonal and `off_diagonal(i, j)`
+    everywhere else, asked for in row-major order."""
+    return tuple(
+        tuple(
+            MovementOption(0, 0.0) if i == j else off_diagonal(i, j)
+            for j in range(num_aggregators)
         )
+        for i in range(num_aggregators)
+    )
 
-    @classmethod
-    def line(cls, num_aggregators: int, cost_kwh_per_slot: float = 0.15) -> "MovementMatrix":
-        """Line topology: delay equals index distance, flat per-slot cost."""
-        return cls._build(
-            num_aggregators, lambda i, j: MovementOption(abs(i - j), cost_kwh_per_slot)
-        )
 
-    @classmethod
-    def uniform(
-        cls, num_aggregators: int, delay_slots: int, cost_kwh_per_slot: float
-    ) -> "MovementMatrix":
-        return cls._build(
-            num_aggregators, lambda i, j: MovementOption(delay_slots, cost_kwh_per_slot)
-        )
+def line_movement(num_aggregators: int, cost_kwh_per_slot: float = 0.15) -> MovementTable:
+    """Line topology: delay equals index distance, flat per-slot cost."""
+    return movement_table(
+        num_aggregators, lambda i, j: MovementOption(abs(i - j), cost_kwh_per_slot)
+    )
+
+
+def uniform_movement(
+    num_aggregators: int, delay_slots: int, cost_kwh_per_slot: float
+) -> MovementTable:
+    return movement_table(
+        num_aggregators, lambda i, j: MovementOption(delay_slots, cost_kwh_per_slot)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +226,7 @@ class SystemConfig:
     budgets_kw: tuple[float, ...]
     horizon_slots: int
     slot_hours: float
-    movement: MovementMatrix
+    movement: MovementTable
     beta_max: float = DEFAULT_BETA_MAX
 
 
@@ -349,16 +328,16 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
         out.append(Violation(None, "slot_hours", "slot length > 0"))
     if not cfg.beta_max > 0:
         out.append(Violation(None, "beta_max", "penalty constant > 0"))
-    if cfg.movement.num_aggregators != cfg.num_aggregators:
+    table = cfg.movement
+    n = len(table)
+    if n != cfg.num_aggregators:
         out.append(Violation(None, "movement", "matrix size matches aggregator count"))
     config_floats = [("slot_hours", cfg.slot_hours), ("beta_max", cfg.beta_max)]
     config_floats += [(f"budgets_kw[{j}]", b) for j, b in enumerate(cfg.budgets_kw)]
 
-    # `MovementMatrix._build` makes every decoded and generated table
-    # n x n with a (0, 0) diagonal; a table built by hand may be neither
-    table = cfg.movement.table
-    n = cfg.movement.num_aggregators
-    square = len(table) == n and all(len(row) == n for row in table)
+    # `movement_table` makes every decoded and generated table n x n with
+    # a (0, 0) diagonal; a table built by hand may be neither
+    square = all(len(row) == n for row in table)
     zero_diagonal = square and all(table[i][i] == MovementOption(0, 0.0) for i in range(n))
     if not zero_diagonal:
         out.append(Violation(None, "movement", "n x n table with a (0, 0) diagonal"))
@@ -370,6 +349,12 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
                 continue
             if opt.delay_slots < 1:
                 out.append(Violation(None, f"{name}.delay_slots", "delay >= 1 slot"))
+            # a longer transit lands inside no allowed horizon; the bound
+            # also keeps `total_kwh` from overflowing its int-to-float step
+            if opt.delay_slots > MAX_HORIZON_SLOTS:
+                out.append(
+                    Violation(None, f"{name}.delay_slots", f"delay <= {MAX_HORIZON_SLOTS} slots")
+                )
             if opt.cost_kwh_per_slot < 0:
                 out.append(Violation(None, f"{name}.cost_kwh_per_slot", "cost >= 0"))
 
@@ -438,78 +423,66 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
 # ---------------------------------------------------------------------------
 
 
-def _movement_to_dict(mm: MovementMatrix) -> dict:
-    pairs = []
-    for i in range(mm.num_aggregators):
-        for j in range(mm.num_aggregators):
-            if i == j:
-                continue
-            opt = mm.table[i][j]
-            pairs.append(
-                {
-                    "from": i,
-                    "to": j,
-                    "delay_slots": opt.delay_slots,
-                    "cost_kwh_per_slot": opt.cost_kwh_per_slot,
-                }
-            )
-    return {"num_aggregators": mm.num_aggregators, "pairs": pairs}
+def _movement_to_dict(table: MovementTable) -> dict:
+    pairs = [
+        {
+            "from": i,
+            "to": j,
+            "delay_slots": opt.delay_slots,
+            "cost_kwh_per_slot": opt.cost_kwh_per_slot,
+        }
+        for i, row in enumerate(table)
+        for j, opt in enumerate(row)
+        if i != j
+    ]
+    return {"num_aggregators": len(table), "pairs": pairs}
 
 
-def _int_field(doc: dict, key: str) -> int:
-    """`doc[key]` as an exact integer: a JSON integer, or a float whose
-    value is integral. Anything else, a boolean or a fractional,
-    infinite or NaN number included, is malformed rather than truncated."""
+_KIND_NAMES = {
+    int: "an integer", float: "a number", str: "a string", bool: "a boolean", list: "a list"
+}
+
+
+def _field(doc: dict, key: str, kind: type):
+    """`doc[key]` read as exactly one JSON kind, never coerced:
+    - `int`: a JSON integer, or a float whose value is integral; a
+      boolean or a fractional, infinite or NaN number is malformed rather
+      than truncated;
+    - `float`: any JSON number, as a float; `float()` would also take the
+      string `"0.5"` and the boolean `true`;
+    - `list`: a JSON list of numbers, as a tuple of floats; iterating the
+      string `"44"` would read the budgets `(4.0, 4.0)`;
+    - `str`, `bool`: exactly that JSON type; `bool()` would make `"false"`
+      true, `str()` would make `null` the id `'None'`.
+    """
     value = doc[key]
-    if type(value) is int:
+    if type(value) is kind and kind is not list:
         return value
-    if type(value) is float and value.is_integer():
+    if kind is int and type(value) is float and value.is_integer():
         return int(value)
-    raise ValueError(f"{key} must be an integer, got {value!r}")
-
-
-def _typed_field(doc: dict, key: str, kind: type, what: str):
-    """`doc[key]` as exactly a JSON `kind` (`what` names it in the error):
-    `bool()` would make `"false"` true, `str()` would make `null` the id
-    `'None'`."""
-    value = doc[key]
-    if type(value) is kind:
-        return value
-    raise ValueError(f"{key} must be {what}, got {value!r}")
-
-
-def _number(value, name: str) -> float:
-    """`value` as a float if it is a JSON number: `float()` would also
-    take the string `"0.5"` and the boolean `true`."""
-    if type(value) is float or type(value) is int:
+    if kind is float and type(value) is int:
         return float(value)
-    raise ValueError(f"{name} must be a number, got {value!r}")
+    if kind is list and type(value) is list:
+        if all(type(v) is float or type(v) is int for v in value):
+            return tuple(map(float, value))
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _numbers(doc: dict, key: str) -> tuple[float, ...]:
-    """`doc[key]` as a JSON list of numbers; iterating the string `"44"`
-    would read the budgets `(4.0, 4.0)`."""
-    values = _typed_field(doc, key, list, "a list")
-    for value in values:
-        if type(value) is not float and type(value) is not int:
-            raise ValueError(f"{key} must be a list of numbers, got {values!r}")
-    return tuple(map(float, values))
-
-
-def _movement_from_dict(doc: dict, num_aggregators: int) -> MovementMatrix:
+def _movement_from_dict(doc: dict, num_aggregators: int) -> MovementTable:
     """Each pair joins two different aggregators of the scenario's
     `num_aggregators` and is listed once, or the document is malformed; a
-    matrix whose own size differs is left to `validate_config`."""
+    table whose own size differs is left to `validate_config`."""
     try:
-        n = _int_field(doc, "num_aggregators")
+        n = _field(doc, "num_aggregators", int)
         listed: dict[tuple[int, int], MovementOption] = {}
         for p in doc["pairs"]:
-            i, j = _int_field(p, "from"), _int_field(p, "to")
+            i, j = _field(p, "from", int), _field(p, "to", int)
             in_range = 0 <= i < num_aggregators and 0 <= j < num_aggregators
             if i == j or not in_range or (i, j) in listed:
                 raise ValueError(f"pair {i}->{j} is diagonal, out of range or repeated")
             listed[(i, j)] = MovementOption(
-                _int_field(p, "delay_slots"), _number(p["cost_kwh_per_slot"], "cost_kwh_per_slot")
+                _field(p, "delay_slots", int), _field(p, "cost_kwh_per_slot", float)
             )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad movement matrix: {exc}") from exc
@@ -519,7 +492,7 @@ def _movement_from_dict(doc: dict, num_aggregators: int) -> MovementMatrix:
             raise ScenarioFormatError(f"missing movement pair {i}->{j}")
         return listed[(i, j)]
 
-    return MovementMatrix._build(n, listed_option)
+    return movement_table(n, listed_option)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -554,20 +527,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
-        version = _int_field(doc, "schema_version")
+        version = _field(doc, "schema_version", int)
         if version != SCENARIO_SCHEMA_VERSION:
             raise ScenarioFormatError(
                 f"unsupported schema_version {version!r} (expected {SCENARIO_SCHEMA_VERSION})"
             )
         cfg_doc = doc["config"]
-        num_aggregators = _int_field(cfg_doc, "num_aggregators")
+        num_aggregators = _field(cfg_doc, "num_aggregators", int)
         cfg = SystemConfig(
             num_aggregators=num_aggregators,
-            budgets_kw=_numbers(cfg_doc, "budgets_kw"),
-            horizon_slots=_int_field(cfg_doc, "horizon_slots"),
-            slot_hours=_number(cfg_doc["slot_hours"], "slot_hours"),
+            budgets_kw=_field(cfg_doc, "budgets_kw", list),
+            horizon_slots=_field(cfg_doc, "horizon_slots", int),
+            slot_hours=_field(cfg_doc, "slot_hours", float),
             movement=_movement_from_dict(cfg_doc["movement"], num_aggregators),
-            beta_max=_number(cfg_doc.get("beta_max", DEFAULT_BETA_MAX), "beta_max"),
+            beta_max=(
+                _field(cfg_doc, "beta_max", float) if "beta_max" in cfg_doc else DEFAULT_BETA_MAX
+            ),
         )
         # one PowerModeSet per distinct level tuple, as the generator
         # shares one per physical device; it is frozen and compares by value
@@ -580,19 +555,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
         devices = tuple(
             DeviceRequest(
-                id=_typed_field(d, "id", str, "a string"),
-                arrival_slot=_int_field(d, "arrival_slot"),
-                deadline_slot=_int_field(d, "deadline_slot"),
-                mobile=_typed_field(d, "mobile", bool, "a boolean"),
-                initial_energy_kwh=_number(d["initial_energy_kwh"], "initial_energy_kwh"),
-                demand_kwh=_number(d["demand_kwh"], "demand_kwh"),
-                criticality=_number(d["criticality"], "criticality"),
-                modes=modes(_numbers(d, "modes_kw")),
-                home=_int_field(d, "home"),
+                id=_field(d, "id", str),
+                arrival_slot=_field(d, "arrival_slot", int),
+                deadline_slot=_field(d, "deadline_slot", int),
+                mobile=_field(d, "mobile", bool),
+                initial_energy_kwh=_field(d, "initial_energy_kwh", float),
+                demand_kwh=_field(d, "demand_kwh", float),
+                criticality=_field(d, "criticality", float),
+                modes=modes(_field(d, "modes_kw", list)),
+                home=_field(d, "home", int),
             )
             for d in doc["devices"]
         )
-        return Scenario(_typed_field(doc, "id", str, "a string"), cfg, devices)
+        return Scenario(_field(doc, "id", str), cfg, devices)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad scenario document: {exc}") from exc
 

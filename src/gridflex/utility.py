@@ -87,7 +87,7 @@ def slot_loss(
     )
     if not isinstance(action, Move):
         return d_loss, 0.0, 0.0
-    movement = 2.0 * cfg.movement.option(action.origin, action.target).cost_kwh_per_slot
+    movement = 2.0 * cfg.movement[action.origin][action.target].cost_kwh_per_slot
     changes_cluster = not request.mobile and action.origin != action.target
     return d_loss, movement, cfg.beta_max if changes_cluster else 0.0
 
@@ -153,7 +153,7 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
                 if rest.count(IDLE) == len(rest):
                     break
         elif moving and (slot == 0 or row[slot - 1] != action):
-            extra += cfg.movement.total_cost(action.origin, action.target)
+            extra += cfg.movement[action.origin][action.target].total_kwh
         if not moving:
             if slot > deadline:
                 d = deadline_loss(

@@ -27,11 +27,12 @@ import numpy as np
 
 from .model import (
     DeviceRequest,
-    MovementMatrix,
     PowerModeSet,
     Scenario,
     ScenarioFormatError,
     SystemConfig,
+    line_movement,
+    uniform_movement,
 )
 
 # utilization bands: cluster demand as a fraction of budget * slot_hours * slots
@@ -127,7 +128,7 @@ def _line_config(num_aggregators: int, horizon_slots: int) -> SystemConfig:
         budgets_kw=(BUDGET_KW,) * num_aggregators,
         horizon_slots=horizon_slots,
         slot_hours=SLOT_HOURS,
-        movement=MovementMatrix.line(num_aggregators, MOVE_COST_KWH_PER_SLOT),
+        movement=line_movement(num_aggregators, MOVE_COST_KWH_PER_SLOT),
     )
 
 
@@ -288,7 +289,7 @@ def micro_instances(
             budgets_kw=tuple([budget] * J),
             horizon_slots=tau,
             slot_hours=slot_hours,
-            movement=MovementMatrix.uniform(J, 1, 0.1),
+            movement=uniform_movement(J, 1, 0.1),
         )
         devices = []
         for k in range(K):
@@ -339,8 +340,10 @@ def parse_sessions(text: str) -> tuple[list[SessionRecord], int]:
 
     A header without one of those columns raises `ScenarioFormatError`
     naming the missing ones. Rows with missing fields, unparseable
-    timestamps, non-positive energy, or departure at/before arrival are
-    skipped; the skip count is returned alongside.
+    timestamps, a non-positive or non-finite energy, a departure at or
+    before the arrival, or one timestamp with a UTC offset and the other
+    without (they cannot be compared) are skipped; the skip count is
+    returned alongside.
     """
     records: list[SessionRecord] = []
     skipped = 0
@@ -354,11 +357,12 @@ def parse_sessions(text: str) -> tuple[list[SessionRecord], int]:
             departure = datetime.fromisoformat(row["departure"].strip())
             energy = float(row["kwh"])
             station = row["station"].strip()
+            # comparing an offset-aware time with a naive one raises TypeError
+            usable = departure > arrival and 0 < energy < math.inf
         # a short row fills its missing fields with None
         except (TypeError, ValueError, AttributeError):
-            skipped += 1
-            continue
-        if departure <= arrival or energy <= 0:
+            usable = False
+        if not usable:
             skipped += 1
             continue
         records.append(SessionRecord(arrival, departure, energy, station))

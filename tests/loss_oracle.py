@@ -37,7 +37,7 @@ def oracle_row(dev, row, cfg):
             delivered = mpf(dev.modes.levels_kw[action.mode_index - 1]) * mpf(cfg.slot_hours)
             progress = min(progress + delivered, demand + extra)
         elif isinstance(action, Move):
-            edge = cfg.movement.option(action.origin, action.target)
+            edge = cfg.movement[action.origin][action.target]
             if slot == 0 or row[slot - 1] != action:
                 extra += edge.delay_slots * mpf(edge.cost_kwh_per_slot)
             mobility += 2 * mpf(edge.cost_kwh_per_slot)

@@ -112,7 +112,7 @@ def offer_move(dev, residuals, cfg, slot):
     for j, residual in enumerate(residuals):
         if j == dev.at or residual + EPS < dev.req.modes.levels_kw[0]:
             continue
-        edge = cfg.movement.option(dev.at, j)
+        edge = cfg.movement[dev.at][j]
         if slot + edge.delay_slots > cfg.horizon_slots - 1:
             continue
         cost = edge.delay_slots * edge.cost_kwh_per_slot

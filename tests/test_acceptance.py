@@ -184,12 +184,12 @@ class TestAcceptance:
         from gridflex.heuristic import run_horizon
         from gridflex.model import (
             DeviceRequest,
-            MovementMatrix,
             PowerModeSet,
             SystemConfig,
+            uniform_movement,
         )
 
-        cfg = SystemConfig(2, (2.0, 2.0), 12, 0.5, MovementMatrix.uniform(2, 2, 0.15))
+        cfg = SystemConfig(2, (2.0, 2.0), 12, 0.5, uniform_movement(2, 2, 0.15))
         devices = [
             DeviceRequest("a", 0, 6, False, 0.0, 6.0, 1.6, PowerModeSet((2.0,)), 0),
             DeviceRequest("b", 0, 6, True, 1.0, 6.0, 1.8, PowerModeSet((2.0,)), 0),

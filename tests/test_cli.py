@@ -13,7 +13,17 @@ import pytest
 import gridflex
 from gridflex import engine, heuristic, workload
 from gridflex.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from gridflex.model import Move, Serve, load_scenario, save_scenario
+from gridflex.model import (
+    DeviceRequest,
+    Move,
+    PowerModeSet,
+    Scenario,
+    Serve,
+    SystemConfig,
+    load_scenario,
+    save_scenario,
+    uniform_movement,
+)
 
 
 @pytest.fixture()
@@ -468,6 +478,25 @@ class TestInvalidMovement:
         assert main(["run", str(bad)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"scenario invalid: <config>: {line}\n"
 
+    @pytest.mark.parametrize("command", ["run", "validate", "solve-exact"])
+    def test_delay_past_horizon_ceiling_rejected(self, command, tmp_path, capsys):
+        # a JSON integer delay of 10**400 slots overflowed the float of its
+        # move energy in the validator and the solver
+        device = DeviceRequest("a", 0, 2, True, 0.5, 1.0, 1.6, PowerModeSet((2.0,)), 0)
+        cfg = SystemConfig(2, (2.0, 2.0), 4, 0.5, uniform_movement(2, 10**400, 0.1))
+        scenario_path = tmp_path / "far.json"
+        save_scenario(Scenario("far", cfg, (device,)), scenario_path)
+        result_path = tmp_path / "result.json"
+        result_path.write_text(json.dumps({"decisions": {"a": ["M:0:1", "I", "I", "I"]}}))
+        args = [command, str(scenario_path)]
+        if command == "validate":
+            args.append(str(result_path))
+        assert main(args) == EXIT_VALIDATION
+        rule = "delay_slots: delay <= 1000 slots"
+        assert capsys.readouterr().err == (
+            f"scenario invalid: <config>: movement[0][1].{rule}; <config>: movement[1][0].{rule}\n"
+        )
+
 
 class TestInfeasibleRun:
     def test_one_stderr_line(self, micro_file, monkeypatch, capsys):
@@ -722,6 +751,22 @@ class TestIngest:
         assert main(["ingest", str(csv_path), "--out", str(out)]) == EXIT_OK
         assert len(load_scenario(out).devices) == 1
         assert capsys.readouterr().err == "skipped 1 records, dropped 0 sessions\n"
+
+    def test_unreadable_rows_skipped(self, tmp_path, capsys):
+        # mixed UTC-offset timestamps and non-finite energies are skipped
+        # and counted, not a traceback or a device
+        csv_path = tmp_path / "unreadable.csv"
+        csv_path.write_text(
+            "arrival,departure,kwh,station\n"
+            "2020-01-01T10:00:00+05:00,2020-01-01T12:00:00,5,a\n"
+            "2020-01-01T10:00:00,2020-01-01T12:00:00,nan,a\n"
+            "2020-01-01T10:00:00,2020-01-01T12:00:00,1e400,a\n"
+            "2020-01-01T10:00:00,2020-01-01T12:00:00,5,a\n"
+        )
+        out = tmp_path / "sc.json"
+        assert main(["ingest", str(csv_path), "--out", str(out)]) == EXIT_OK
+        assert len(load_scenario(out).devices) == 1
+        assert capsys.readouterr().err == "skipped 3 records, dropped 0 sessions\n"
 
     def test_failed_write_one_line(self, tmp_path, capsys):
         # the skipped-records note must not precede the write's failure

@@ -25,11 +25,12 @@ from gridflex.model import (
     DeviceRequest,
     Idle,
     Move,
-    MovementMatrix,
     PowerModeSet,
     Scenario,
     Serve,
     SystemConfig,
+    line_movement,
+    uniform_movement,
 )
 from gridflex.utility import row_loss
 from loss_oracle import oracle_mismatches
@@ -48,7 +49,7 @@ def congested():
 
 class TestRun:
     def test_empty_scenario_zero_loss(self):
-        cfg = SystemConfig(1, (10.0,), 4, 0.5, MovementMatrix.line(1))
+        cfg = SystemConfig(1, (10.0,), 4, 0.5, line_movement(1))
         result = run(Scenario("empty", cfg, ()), "heuristic")
         assert result.total_loss == 0.0
 
@@ -57,7 +58,7 @@ class TestRun:
             run(congested, "fifo")
 
     def test_invalid_scenario_rejected(self):
-        cfg = SystemConfig(1, (10.0,), 4, 0.5, MovementMatrix.line(1))
+        cfg = SystemConfig(1, (10.0,), 4, 0.5, line_movement(1))
         bad = DeviceRequest(
             id="x", arrival_slot=0, deadline_slot=4, mobile=False,
             initial_energy_kwh=0.0, demand_kwh=-1.0, criticality=1.6,
@@ -158,7 +159,7 @@ class TestReplay:
 
     def test_replay_with_mobility_moves(self):
         # engineered so a mobile device actually migrates
-        cfg = SystemConfig(2, (2.0, 2.0), 12, 0.5, MovementMatrix.line(2, 0.15))
+        cfg = SystemConfig(2, (2.0, 2.0), 12, 0.5, line_movement(2, 0.15))
         devices = (
             DeviceRequest("a", 0, 6, False, 0.0, 6.0, 1.6, PowerModeSet((2.0,)), 0),
             DeviceRequest("b", 0, 6, True, 1.0, 6.0, 1.8, PowerModeSet((2.0,)), 0),
@@ -244,7 +245,7 @@ class TestFreshIdleInstance:
 
     def test_late_row_and_interrupted_transit_alike(self):
         # late idle slots cost; an idle slot inside a two-slot transit breaks it
-        cfg = SystemConfig(2, (2.0, 2.0), 5, 0.5, MovementMatrix.uniform(2, 2, 0.1))
+        cfg = SystemConfig(2, (2.0, 2.0), 5, 0.5, uniform_movement(2, 2, 0.1))
         dev = DeviceRequest(
             id="a", arrival_slot=0, deadline_slot=1, mobile=True,
             initial_energy_kwh=1.0, demand_kwh=4.0, criticality=1.6,

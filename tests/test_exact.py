@@ -26,20 +26,21 @@ from gridflex.model import (
     IDLE,
     Idle,
     Move,
-    MovementMatrix,
     PowerModeSet,
     Scenario,
     Serve,
     SystemConfig,
+    line_movement,
+    uniform_movement,
 )
 from gridflex.utility import row_loss
 
 
 def make_cfg(num_aggregators=1, budget=2.0, horizon=4, delay=1, cost=0.1):
     if num_aggregators == 1:
-        movement = MovementMatrix.line(1)
+        movement = line_movement(1)
     else:
-        movement = MovementMatrix.uniform(num_aggregators, delay, cost)
+        movement = uniform_movement(num_aggregators, delay, cost)
     return SystemConfig(
         num_aggregators=num_aggregators,
         budgets_kw=tuple([budget] * num_aggregators),
@@ -103,7 +104,7 @@ def _device_rows(dev: DeviceRequest, cfg: SystemConfig):
                 for target in range(cfg.num_aggregators):
                     if target == location:
                         continue
-                    opt = cfg.movement.option(location, target)
+                    opt = cfg.movement[location][target]
                     cost = opt.delay_slots * opt.cost_kwh_per_slot
                     available = dev.initial_energy_kwh + progress - spent
                     if cost > available + 1e-9:
@@ -403,7 +404,7 @@ class TestSolveExact:
             budgets_kw=(1.0, 4.0),
             horizon_slots=5,
             slot_hours=0.5,
-            movement=MovementMatrix.uniform(2, 2, 0.05),
+            movement=uniform_movement(2, 2, 0.05),
         )
         scenario = Scenario(
             "t5",

@@ -17,12 +17,12 @@ from gridflex.model import (
     IDLE,
     Idle,
     Move,
-    MovementMatrix,
     PowerModeSet,
     Scenario,
     Serve,
     SystemConfig,
     encode_action,
+    line_movement,
 )
 from loss_oracle import oracle_mismatches
 
@@ -54,7 +54,7 @@ def make_cfg(num_aggregators=1, budget=500.0, horizon=20, cost=0.15):
         budgets_kw=tuple([budget] * num_aggregators),
         horizon_slots=horizon,
         slot_hours=0.5,
-        movement=MovementMatrix.line(num_aggregators, cost),
+        movement=line_movement(num_aggregators, cost),
     )
 
 
@@ -182,7 +182,7 @@ class TestPublishStatus:
         # a fixed device draws `load` of aggregator 1's 500 kW every slot:
         # 500 - 80 leaves exactly the late mover's 420 kW lowest mode, so it
         # moves there in slot 3; 500 - 81 falls 1 kW short and it never does
-        cfg = SystemConfig(2, (1.0, 500.0), 20, 0.5, MovementMatrix.line(2, 0.15))
+        cfg = SystemConfig(2, (1.0, 500.0), 20, 0.5, line_movement(2, 0.15))
 
         def run(load):
             devs = [
@@ -344,7 +344,7 @@ class TestRunHorizon:
                 if isinstance(action, Move):
                     if not in_transit:
                         in_transit = True
-                        remaining = cfg.movement.option(action.origin, action.target).delay_slots
+                        remaining = cfg.movement[action.origin][action.target].delay_slots
                     remaining -= 1
                     assert remaining >= 0
                     if remaining == 0:
@@ -422,7 +422,7 @@ class TestRunHorizon:
 def stranded_mover():
     """Home budget 2 kW serves "a" but fits no mode of "b", so under any
     ranking "b" moves once late to aggregator 1 and shares it with "c"."""
-    cfg = SystemConfig(2, (2.0, 10.0), 12, 0.5, MovementMatrix.line(2, 0.15))
+    cfg = SystemConfig(2, (2.0, 10.0), 12, 0.5, line_movement(2, 0.15))
     devs = [
         make_request("a", [2], demand=6.0, deadline=6),
         make_request("b", [3], demand=3.0, deadline=2, mobile=True, initial=1.0),
@@ -507,7 +507,7 @@ class TestLiveSet:
     def test_transit_landing_slot_is_served_at_target(self):
         # home budget is below the device's only mode; once late it moves
         # one hop (slot 2) and is served at the target in the landing slot
-        cfg = SystemConfig(2, (1.0, 2.0), 8, 0.5, MovementMatrix.line(2, 0.15))
+        cfg = SystemConfig(2, (1.0, 2.0), 8, 0.5, line_movement(2, 0.15))
         devs = [make_request("b", [2], demand=1.0, deadline=1, mobile=True, initial=1.0)]
         result = run_horizon(cfg, devs)
         assert rows_of(result) == {
@@ -522,7 +522,7 @@ class TestLiveSet:
         # two hops, 0 -> 2: both transit slots are Move cells, and it lands
         # in slot 4 in the cluster of "a" and "c", which sit at aggregator 2
         # throughout; the cluster's order is not state, so only its members count
-        cfg = SystemConfig(3, (1.0, 1.0, 10.0), 8, 0.5, MovementMatrix.line(3, 0.15))
+        cfg = SystemConfig(3, (1.0, 1.0, 10.0), 8, 0.5, line_movement(3, 0.15))
         devs = [
             make_request("a", [2], demand=8.0, deadline=8, home=2),
             make_request("b", [2], demand=1.0, deadline=1, mobile=True, initial=1.0),
@@ -538,7 +538,7 @@ class TestLiveSet:
         assert sorted(dev_id for dev_id, slot in members if slot == 4) == ["a", "b", "c"]
         moves = [a for a in result.decisions["b"] if isinstance(a, Move)]
         assert moves[-1].target == 2
-        assert result.states["b"].extra_demand_kwh == cfg.movement.total_cost(0, 2)
+        assert result.states["b"].extra_demand_kwh == cfg.movement[0][2].total_kwh
         assert_replay_matches(cfg, devs, result)
 
     def test_shortfall_within_eps_is_met(self, monkeypatch):
@@ -648,7 +648,7 @@ class TestMobilityOffers:
         # the home budget fits no mode, so both devices idle there from slot 0;
         # aggregator 1 has room, and only "mob", once late, weighs going there
         calls = record_mobility_calls(monkeypatch)
-        cfg = SystemConfig(2, (1.0, 10.0), 12, 0.5, MovementMatrix.line(2, 0.15))
+        cfg = SystemConfig(2, (1.0, 10.0), 12, 0.5, line_movement(2, 0.15))
         devs = [
             make_request("fixed", [2], demand=6.0, deadline=3),
             make_request("mob", [2], demand=6.0, deadline=5, mobile=True, initial=1.0),
@@ -665,7 +665,7 @@ class TestMobilityOffers:
         # the engine test's migrating scenario: "b" still moves, and each of
         # its transit starts is a move `mobility_decision` returned
         calls = record_mobility_calls(monkeypatch)
-        cfg = SystemConfig(2, (2.0, 2.0), 12, 0.5, MovementMatrix.line(2, 0.15))
+        cfg = SystemConfig(2, (2.0, 2.0), 12, 0.5, line_movement(2, 0.15))
         devs = [
             DeviceRequest("a", 0, 6, False, 0.0, 6.0, 1.6, PowerModeSet((2.0,)), 0),
             DeviceRequest("b", 0, 6, True, 1.0, 6.0, 1.8, PowerModeSet((2.0,)), 0),

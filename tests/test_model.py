@@ -9,18 +9,19 @@ from gridflex import workload
 from gridflex.model import (
     MAX_HORIZON_SLOTS,
     DeviceRequest,
-    MovementMatrix,
     MovementOption,
     PowerModeSet,
     Scenario,
     ScenarioFormatError,
     SystemConfig,
-    UnknownAggregatorError,
     Violation,
+    line_movement,
     load_scenario,
+    movement_table,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    uniform_movement,
     validate_config,
 )
 
@@ -31,7 +32,7 @@ def make_config(num_aggregators=2, budgets=(500.0, 500.0), horizon=12, slot_hour
         budgets_kw=tuple(budgets),
         horizon_slots=horizon,
         slot_hours=slot_hours,
-        movement=MovementMatrix.line(num_aggregators),
+        movement=line_movement(num_aggregators),
     )
 
 
@@ -53,43 +54,64 @@ def make_device(**overrides):
 
 class TestMovementMatrix:
     def test_diagonal_is_zero_cost(self):
-        mm = MovementMatrix.line(3)
-        assert mm.total_cost(1, 1) == 0.0
+        mm = line_movement(3)
+        assert mm[1][1].total_kwh == 0.0
 
     def test_total_cost_two_slots(self):
-        mm = MovementMatrix.uniform(2, delay_slots=2, cost_kwh_per_slot=0.15)
-        assert mm.total_cost(0, 1) == pytest.approx(0.30)
+        mm = uniform_movement(2, delay_slots=2, cost_kwh_per_slot=0.15)
+        assert mm[0][1].total_kwh == pytest.approx(0.30)
 
     def test_total_cost_four_slots(self):
-        mm = MovementMatrix.line(5, cost_kwh_per_slot=0.15)
-        assert mm.total_cost(0, 4) == pytest.approx(0.60)
+        mm = line_movement(5, cost_kwh_per_slot=0.15)
+        assert mm[0][4].total_kwh == pytest.approx(0.60)
 
     def test_lookup_is_total_over_valid_pairs(self):
-        mm = MovementMatrix.line(4)
+        mm = line_movement(4)
+        assert len(mm) == 4
+        for row in mm:
+            assert len(row) == 4
+            assert all(isinstance(opt, MovementOption) for opt in row)
+
+    def test_total_kwh_is_delay_times_per_slot_cost(self):
+        assert MovementOption(3, 0.1).total_kwh == 3 * 0.1
+        assert MovementOption(0, 0.0).total_kwh == 0.0
+
+    def test_line_delay_is_index_distance(self):
+        mm = line_movement(4, cost_kwh_per_slot=0.2)
         for i in range(4):
             for j in range(4):
-                assert mm.option(i, j) is not None
+                want = MovementOption(0, 0.0) if i == j else MovementOption(abs(i - j), 0.2)
+                assert mm[i][j] == want
 
-    def test_unknown_aggregator_raises(self):
-        mm = MovementMatrix.line(2)
-        with pytest.raises(UnknownAggregatorError):
-            mm.total_cost(0, 5)
+    def test_uniform_off_diagonal(self):
+        mm = uniform_movement(3, delay_slots=2, cost_kwh_per_slot=0.05)
+        assert [mm[i][j] for i in range(3) for j in range(3) if i != j] == [
+            MovementOption(2, 0.05)
+        ] * 6
+        assert all(mm[i][i] == MovementOption(0, 0.0) for i in range(3))
+
+    def test_table_asks_off_diagonal_in_row_major_order(self):
+        asked = []
+
+        def off_diagonal(i, j):
+            asked.append((i, j))
+            return MovementOption(1, 0.1)
+
+        movement_table(3, off_diagonal)
+        assert asked == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
     def test_bad_diagonal_rejected(self):
         # the matrix builds; validate_config reports the value
-        mm = MovementMatrix(1, ((MovementOption(1, 0.1),),))
+        mm = ((MovementOption(1, 0.1),),)
         cfg = dataclasses.replace(make_config(1, budgets=(500.0,)), movement=mm)
         assert validate_config(cfg, []) == [
             Violation(None, "movement", "n x n table with a (0, 0) diagonal")
         ]
 
     def test_zero_delay_off_diagonal_rejected(self):
-        mm = MovementMatrix(
-            2,
-            (
-                (MovementOption(0, 0.0), MovementOption(0, 0.1)),
-                (MovementOption(1, 0.1), MovementOption(0, 0.0)),
-            ),
+        mm = (
+            (MovementOption(0, 0.0), MovementOption(0, 0.1)),
+            (MovementOption(1, 0.1), MovementOption(0, 0.0)),
         )
         cfg = dataclasses.replace(make_config(), movement=mm)
         assert validate_config(cfg, []) == [
@@ -159,7 +181,7 @@ class TestValidateConfig:
             budgets_kw=(0.0,),
             horizon_slots=4,
             slot_hours=0.5,
-            movement=MovementMatrix.line(1),
+            movement=line_movement(1),
         )
         assert any("budget > 0" in v.rule for v in validate_config(cfg, []))
 
@@ -186,7 +208,7 @@ class TestValidateConfig:
             budgets_kw=cfg.budgets_kw,
             horizon_slots=cfg.horizon_slots,
             slot_hours=cfg.slot_hours,
-            movement=MovementMatrix.uniform(2, 1, math.nan),
+            movement=uniform_movement(2, 1, math.nan),
         )
         violations = validate_config(cfg, [make_device()])
         assert {(v.field, v.rule) for v in violations} == {
@@ -211,7 +233,7 @@ class TestValidateConfig:
             )
             for k in range(6)
         ]
-        cfg = SystemConfig(1, (1.0,), 8, 0.5, MovementMatrix.line(1), beta_max=1e308)
+        cfg = SystemConfig(1, (1.0,), 8, 0.5, line_movement(1), beta_max=1e308)
         violations = validate_config(cfg, devices)
         assert [(v.field, v.rule) for v in violations] == [
             ("beta_max", "worst-case total loss finite")
@@ -237,23 +259,24 @@ class TestValidateConfig:
                 [Violation(None, "beta_max", "penalty constant > 0")],
             ),
             (
-                dataclasses.replace(make_config(), movement=MovementMatrix.line(3)),
+                dataclasses.replace(make_config(), movement=line_movement(3)),
                 [],
                 [Violation(None, "movement", "matrix size matches aggregator count")],
             ),
             (
-                # a hand-built table with one row of two
+                # a hand-built table of two rows, the second one short
                 dataclasses.replace(
                     make_config(),
-                    movement=MovementMatrix(
-                        2, ((MovementOption(0, 0.0), MovementOption(1, 0.1)),)
+                    movement=(
+                        (MovementOption(0, 0.0), MovementOption(1, 0.1)),
+                        (MovementOption(1, 0.1),),
                     ),
                 ),
                 [],
                 [Violation(None, "movement", "n x n table with a (0, 0) diagonal")],
             ),
             (
-                dataclasses.replace(make_config(), movement=MovementMatrix.uniform(2, -1, 0.1)),
+                dataclasses.replace(make_config(), movement=uniform_movement(2, -1, 0.1)),
                 [],
                 [
                     Violation(None, "movement[0][1].delay_slots", "delay >= 1 slot"),
@@ -261,7 +284,7 @@ class TestValidateConfig:
                 ],
             ),
             (
-                dataclasses.replace(make_config(), movement=MovementMatrix.uniform(2, 1, -0.1)),
+                dataclasses.replace(make_config(), movement=uniform_movement(2, 1, -0.1)),
                 [],
                 [
                     Violation(None, "movement[0][1].cost_kwh_per_slot", "cost >= 0"),
@@ -313,6 +336,24 @@ class TestValidateConfig:
         violations = validate_config(cfg, [])
         assert [(v.field, v.rule) for v in violations] == [
             ("horizon_slots", f"horizon <= {MAX_HORIZON_SLOTS} slots")
+        ]
+
+    def test_delay_at_ceiling_passes(self):
+        cfg = dataclasses.replace(
+            make_config(), movement=uniform_movement(2, MAX_HORIZON_SLOTS, 0.1)
+        )
+        assert validate_config(cfg, [make_device()]) == []
+
+    def test_delay_past_ceiling_flagged(self):
+        # a decoded delay of 10**400 slots: its move energy overflowed a float
+        doc = scenario_to_dict(Scenario("far", make_config(), (make_device(),)))
+        for pair in doc["config"]["movement"]["pairs"]:
+            pair["delay_slots"] = 10**400
+        scenario = scenario_from_dict(doc)
+        violations = validate_config(scenario.config, scenario.devices)
+        assert [(v.field, v.rule) for v in violations] == [
+            ("movement[0][1].delay_slots", f"delay <= {MAX_HORIZON_SLOTS} slots"),
+            ("movement[1][0].delay_slots", f"delay <= {MAX_HORIZON_SLOTS} slots"),
         ]
 
 

@@ -13,13 +13,14 @@ from gridflex.heuristic import run_horizon
 from gridflex.model import (
     DeviceRequest,
     Move,
-    MovementMatrix,
     PowerModeSet,
     Scenario,
     ScenarioFormatError,
     SystemConfig,
+    line_movement,
     load_scenario,
     scenario_from_dict,
+    uniform_movement,
     validate_config,
 )
 from gridflex.workload import GenSpec, IngestSpec
@@ -62,9 +63,9 @@ def mobile_scenarios(draw):
     tight aggregator 0, with roomier aggregators one or two slots away."""
     n = draw(st.integers(2, 3))
     if draw(st.booleans()):
-        movement = MovementMatrix.line(n, draw(st.sampled_from([0.0, 0.05, 0.15])))
+        movement = line_movement(n, draw(st.sampled_from([0.0, 0.05, 0.15])))
     else:
-        movement = MovementMatrix.uniform(
+        movement = uniform_movement(
             n, draw(st.integers(1, 2)), draw(st.sampled_from([0.0, 0.1]))
         )
     horizon = draw(st.integers(6, 10))

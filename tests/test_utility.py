@@ -13,10 +13,10 @@ from gridflex.model import (
     DeviceState,
     IDLE,
     Move,
-    MovementMatrix,
     PowerModeSet,
     Serve,
     SystemConfig,
+    line_movement,
 )
 from gridflex.utility import RowLoss, deadline_loss, row_loss, slot_loss
 
@@ -55,7 +55,7 @@ def make_cfg(num_aggregators=3, cost=0.15):
         budgets_kw=tuple([500.0] * num_aggregators),
         horizon_slots=20,
         slot_hours=0.5,
-        movement=MovementMatrix.line(num_aggregators, cost),
+        movement=line_movement(num_aggregators, cost),
     )
 
 
@@ -188,7 +188,7 @@ def slot_by_slot(request, row, cfg):
             delivered = request.modes.power(action.mode_index) * cfg.slot_hours
             progress += min(delivered, max(request.demand_kwh + extra - progress, 0.0))
         elif isinstance(action, Move) and (slot == 0 or row[slot - 1] != action):
-            extra += cfg.movement.total_cost(action.origin, action.target)
+            extra += cfg.movement[action.origin][action.target].total_kwh
         d, m, p = slot_loss(request, progress, action, slot, cfg)
         total += d + m + p
         d_sum += d

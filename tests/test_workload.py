@@ -172,6 +172,30 @@ class TestParseSessions:
         assert len(records) == 3
         assert skipped == 3  # reversed times, negative energy, bad row
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            # an offset-aware arrival cannot be compared with a naive departure
+            "2020-01-01T10:00:00+05:00,2020-01-01T12:00:00,5,a",
+            "2020-01-01T10:00:00,2020-01-01T12:00:00+05:00,5,a",
+            "2020-01-01T10:00:00,2020-01-01T12:00:00,nan,a",
+            "2020-01-01T10:00:00,2020-01-01T12:00:00,inf,a",
+            "2020-01-01T10:00:00,2020-01-01T12:00:00,1e400,a",
+        ],
+        ids=["aware-arrival", "aware-departure", "nan-kwh", "inf-kwh", "overflowing-kwh"],
+    )
+    def test_unreadable_row_skipped(self, row):
+        records, skipped = parse_sessions(f"arrival,departure,kwh,station\n{row}\n")
+        assert (records, skipped) == ([], 1)
+
+    def test_both_timestamps_with_offsets_read(self):
+        records, skipped = parse_sessions(
+            "arrival,departure,kwh,station\n"
+            "2020-01-01T10:00:00+05:00,2020-01-01T12:00:00+05:00,5,a\n"
+        )
+        assert skipped == 0
+        assert records[0].energy_kwh == 5.0
+
     def test_empty_input(self):
         records, skipped = parse_sessions("arrival,departure,kwh,station\n")
         assert records == []
