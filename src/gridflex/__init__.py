@@ -4,7 +4,6 @@ criticalities, and cross-cluster mobility."""
 
 from .model import (
     DeviceRequest,
-    PowerModeSet,
     Scenario,
     SystemConfig,
     line_movement,
@@ -19,7 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DeviceRequest",
-    "PowerModeSet",
     "Scenario",
     "SystemConfig",
     "line_movement",

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import engine, exact, workload
-from .model import ScenarioFormatError, load_scenario, printable_id, scenario_to_dict
+from .model import ScenarioFormatError, load_scenario, printable_id, read_json, scenario_to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -159,7 +159,7 @@ def _render_run_table(result: engine.RunResult) -> str:
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     engine.check_scenario(scenario)
-    doc = json.loads(Path(args.result).read_text())
+    doc = read_json(args.result)
     decisions = engine.decisions_from_dict(doc)
     report = exact.validate_schedule(decisions, scenario.config, list(scenario.devices))
     _write((report.summary(), "\n"), None)

@@ -236,10 +236,13 @@ class GroupStats:
 
 @dataclass
 class ExperimentSummary:
-    """Loss-delta statistics keyed by (device count, mobile fraction)."""
+    """Loss-delta samples keyed by (device count, mobile fraction)."""
 
-    groups: dict[tuple[int, float], GroupStats]
     samples: dict[tuple[int, float], list[float]]
+
+    @property
+    def groups(self) -> dict[tuple[int, float], GroupStats]:
+        return {key: GroupStats.from_samples(v) for key, v in self.samples.items()}
 
     def by_device_count(self) -> dict[int, GroupStats]:
         merged: dict[int, list[float]] = {}
@@ -317,8 +320,7 @@ def mobility_delta_experiment(specs: Iterable[workload.GenSpec]) -> ExperimentSu
     samples: dict[tuple[int, float], list[float]] = {}
     for key, delta in results:
         samples.setdefault(key, []).append(delta)
-    groups = {key: GroupStats.from_samples(vals) for key, vals in samples.items()}
-    return ExperimentSummary(groups=groups, samples=samples)
+    return ExperimentSummary(samples=samples)
 
 
 def improvement_report(results: dict[str, RunResult]) -> dict[str, str | float]:

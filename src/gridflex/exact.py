@@ -188,7 +188,7 @@ def validate_schedule(
             elif isinstance(action, Serve):
                 if t < dev.arrival_slot:
                     checks["ii"].record(dev_id, t)
-                if not 1 <= action.mode_index <= dev.modes.count:
+                if not 1 <= action.mode_index <= len(dev.modes_kw):
                     checks["i"].record(dev_id, t)
                     continue
                 if not 0 <= action.aggregator < cfg.num_aggregators:
@@ -196,7 +196,7 @@ def validate_schedule(
                     continue
                 if action.aggregator != location:
                     checks["i"].record(dev_id, t)
-                power = dev.modes.power(action.mode_index)
+                power = dev.modes_kw[action.mode_index - 1]
                 load[(t, action.aggregator)] = load.get((t, action.aggregator), 0.0) + power
                 deficit = dev.demand_kwh + extra - progress
                 if deficit <= EPS:
@@ -293,7 +293,7 @@ class _Searcher:
                 total += 2.0 * (start - t_next) * edge.cost_kwh_per_slot
             if deficit <= EPS:
                 continue
-            rate = dev.modes.max_kw * self.cfg.slot_hours
+            rate = dev.modes_kw[-1] * self.cfg.slot_hours
             for t in range(t_next, self.tau):
                 if t >= start:
                     deficit -= rate
@@ -374,8 +374,8 @@ class _Searcher:
 
         # serve options, highest mode first so good leaves are found early
         if deficit > EPS:
-            for mode_index in range(dev.modes.count, 0, -1):
-                power = dev.modes.power(mode_index)
+            for mode_index in range(len(dev.modes_kw), 0, -1):
+                power = dev.modes_kw[mode_index - 1]
                 if power > self.residual[loc] + _BUDGET_TOL:
                     continue
                 delivered = min(power * self.cfg.slot_hours, deficit)
@@ -438,9 +438,9 @@ def solve_exact(instance: ExactInstance) -> ExactResult:
     if cfg.num_aggregators > MAX_AGGREGATORS:
         raise CapExceededError(f"{cfg.num_aggregators} aggregators > cap {MAX_AGGREGATORS}")
     for dev in devices:
-        if dev.modes.count > MAX_MODES:
+        if len(dev.modes_kw) > MAX_MODES:
             raise CapExceededError(
-                f"device {printable_id(dev.id)} has {dev.modes.count} modes > cap {MAX_MODES}"
+                f"device {printable_id(dev.id)} has {len(dev.modes_kw)} modes > cap {MAX_MODES}"
             )
 
     searcher = _Searcher(cfg, devices, instance.caps.node_budget)

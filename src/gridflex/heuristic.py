@@ -49,7 +49,7 @@ def heuristic_rank(cluster: Sequence[DeviceState], slot: int) -> list[DeviceStat
         return (
             -priority(d.progress_kwh, d.target_kwh, slot, req.deadline_slot),
             -req.criticality,
-            req.modes.levels_kw[0],
+            req.modes_kw[0],
             req.id,
         )
 
@@ -91,11 +91,11 @@ def schedule_slot(
     served: list[DeviceState] = []
 
     if ranked:
-        floor = min(d.request.modes.levels_kw[0] for d in ranked)
+        floor = min(d.request.modes_kw[0] for d in ranked)
         for dev in ranked:
             if residual + EPS < floor:
                 break
-            lowest = dev.request.modes.levels_kw[0]
+            lowest = dev.request.modes_kw[0]
             if lowest <= residual + EPS:
                 assignment[dev.request.id] = 1
                 served.append(dev)
@@ -104,15 +104,16 @@ def schedule_slot(
     while served and residual > EPS:
         upgraded = []
         for dev in served:
-            modes = dev.request.modes
+            modes = dev.request.modes_kw
             current = assignment[dev.request.id]
-            if current >= modes.count:
+            if current >= len(modes):
                 continue
-            step = modes.power(current + 1) - modes.power(current)
+            # mode i draws modes[i - 1]; a served device holds mode 1 or higher
+            step = modes[current] - modes[current - 1]
             if step > residual + EPS:
                 continue
             # the deficit, read from the fields: a served device's exceeds EPS
-            if modes.power(current + 1) * slot_hours > dev.target_kwh - dev.progress_kwh + EPS:
+            if modes[current] * slot_hours > dev.target_kwh - dev.progress_kwh + EPS:
                 continue
             assignment[dev.request.id] = current + 1
             residual -= step
@@ -170,7 +171,7 @@ def mobility_decision(
     if stay_loss <= 0.0:
         return None
     here = dev.aggregator
-    lowest = dev.request.modes.levels_kw[0]
+    lowest = dev.request.modes_kw[0]
 
     best: tuple[float, int] | None = None
     for j, spare in enumerate(residual_kw):
@@ -279,7 +280,7 @@ def run_horizon(
                 action = served.get(req.id)
                 if action is not None:
                     decisions[req.id][t] = action
-                    delivered = req.modes.power(action.mode_index) * cfg.slot_hours
+                    delivered = req.modes_kw[action.mode_index - 1] * cfg.slot_hours
                     # the deficit, read from the fields: a served device's exceeds EPS
                     st.progress_kwh += min(delivered, st.target_kwh - st.progress_kwh)
                 # met, the deficit within EPS: the row is final

@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
@@ -59,8 +60,7 @@ class MovementOption:
 # n x n table indexed `[origin][target]`. The diagonal is pinned to
 # (0, 0); off-diagonal entries must have a delay of 1 to
 # `MAX_HORIZON_SLOTS` slots and a non-negative per-slot cost. Those values
-# are checked by `validate_config`, not at construction, as for
-# `PowerModeSet`.
+# are checked by `validate_config`, not at construction.
 MovementTable = tuple[tuple[MovementOption, ...], ...]
 
 
@@ -94,56 +94,20 @@ def uniform_movement(
 
 
 # ---------------------------------------------------------------------------
-# Device power modes and requests
+# Device requests
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PowerModeSet:
-    """Discrete power levels of one device.
-
-    `levels_kw` holds the non-zero modes; mode index 0 is the implicit
-    0 kW (unserved) mode, so `power(i)` maps index 1..n onto the list.
-    Well-formedness (strictly ascending, positive, finite, non-empty) is
-    checked by `validate_config`, not at construction, so malformed inputs
-    can be reported as violations instead of exceptions.
-    """
-
-    levels_kw: tuple[float, ...]
-
-    @property
-    def count(self) -> int:
-        """Number of non-zero modes."""
-        return len(self.levels_kw)
-
-    def power(self, index: int) -> float:
-        if index == 0:
-            return 0.0
-        return self.levels_kw[index - 1]
-
-    @property
-    def max_kw(self) -> float:
-        return self.levels_kw[-1]
-
-    def is_well_formed(self) -> bool:
-        if not self.levels_kw:
-            return False
-        prev = 0.0
-        for level in self.levels_kw:
-            if not prev < level < math.inf:
-                return False
-            prev = level
-        return True
 
 
 @dataclass(frozen=True)
 class DeviceRequest:
     """One device's demand request.
 
-    Fields mirror the scenario schema: arrival/deadline in slot indices,
-    energies in kWh, `criticality` the positive rate at which deadline
-    losses grow, `modes` the device's discrete power levels, and `home`
-    the aggregator the device starts at.
+    Fields are the keys of a scenario document's device object:
+    arrival/deadline in slot indices, energies in kWh, `criticality` the
+    positive rate at which deadline losses grow, `modes_kw` the power
+    levels, mode `i >= 1` drawing `modes_kw[i - 1]`, and `home` the
+    aggregator the device starts at. `validate_config`, not construction,
+    checks the levels are non-empty, strictly ascending, positive, finite.
     """
 
     id: str
@@ -153,7 +117,7 @@ class DeviceRequest:
     initial_energy_kwh: float
     demand_kwh: float
     criticality: float
-    modes: PowerModeSet
+    modes_kw: tuple[float, ...]
     home: int
 
 
@@ -318,6 +282,8 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
     for j, b in enumerate(cfg.budgets_kw):
         if not b > 0:
             out.append(Violation(None, f"budgets_kw[{j}]", "budget > 0"))
+    # a horizon or window that broke its rules may be an int beyond float range
+    horizon_ok = 1 <= cfg.horizon_slots <= MAX_HORIZON_SLOTS
     if cfg.horizon_slots < 1:
         out.append(Violation(None, "horizon_slots", "horizon >= 1 slot"))
     if cfg.horizon_slots > MAX_HORIZON_SLOTS:
@@ -372,9 +338,11 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
             out.append(Violation(dev.id, "id", "unique id"))
         seen.add(dev.id)
 
-        if not dev.modes.is_well_formed():
+        modes = dev.modes_kw
+        modes_ok = bool(modes) and all(a < b < math.inf for a, b in zip((0.0, *modes), modes))
+        if not modes_ok:
             out.append(
-                Violation(dev.id, "modes", "non-empty, strictly ascending, positive, finite")
+                Violation(dev.id, "modes_kw", "non-empty, strictly ascending, positive, finite")
             )
         if dev.arrival_slot < 0:
             out.append(Violation(dev.id, "arrival_slot", "R_k >= 0"))
@@ -394,9 +362,10 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
             if not math.isfinite(getattr(dev, name)):
                 out.append(Violation(dev.id, name, "finite"))
 
-        if dev.modes.is_well_formed() and dev.arrival_slot < dev.deadline_slot:
+        window_ok = horizon_ok and 0 <= dev.arrival_slot < dev.deadline_slot <= cfg.horizon_slots
+        if modes_ok and window_ok:
             window = dev.deadline_slot - dev.arrival_slot
-            cap = dev.modes.max_kw * cfg.slot_hours * window
+            cap = modes[-1] * cfg.slot_hours * window
             if dev.demand_kwh > cap + EPS:
                 out.append(
                     Violation(
@@ -410,9 +379,9 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
     # the total loss must stay a finite float even if every device-slot
     # paid the beta_max clamp twice (deadline term and stationary penalty)
     # and the dearest per-slot move cost, weighted 2x
-    if finite_config:
+    if finite_config and horizon_ok:
         dearest = max((opt.cost_kwh_per_slot for row in table for opt in row), default=0.0)
-        device_slots = len(devices) * max(cfg.horizon_slots, 0)
+        device_slots = len(devices) * cfg.horizon_slots
         if not math.isfinite(2.0 * (device_slots * cfg.beta_max + device_slots * dearest)):
             out.append(Violation(None, "beta_max", "worst-case total loss finite"))
     return out
@@ -469,14 +438,36 @@ def _field(doc: dict, key: str, kind: type):
     raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
+# the keys of each document object; a defaulted `SystemConfig` field is optional
+_DOCUMENT_KEYS = frozenset({"schema_version", "id", "config", "devices"})
+_CONFIG_KEYS = frozenset(f.name for f in fields(SystemConfig))
+_OPTIONAL_CONFIG_KEYS = frozenset(f.name for f in fields(SystemConfig) if f.default is not MISSING)
+_MOVEMENT_KEYS = frozenset({"num_aggregators", "pairs"})
+_PAIR_KEYS = frozenset({"from", "to", "delay_slots", "cost_kwh_per_slot"})
+_DEVICE_KEYS = frozenset(f.name for f in fields(DeviceRequest))
+
+
+def _object(doc: dict, name: str, keys: frozenset[str], optional=frozenset()) -> dict:
+    """`doc` when it holds every key of `keys` but those in `optional`,
+    and no other key: a misspelt key is not passed over."""
+    if doc.keys() != keys:
+        unknown, missing = doc.keys() - keys, keys - optional - doc.keys()
+        if unknown or missing:
+            problem, key = ("unknown", min(unknown)) if unknown else ("missing", min(missing))
+            raise ValueError(f"{problem} key '{printable_id(key)}' in {name}")
+    return doc
+
+
 def _movement_from_dict(doc: dict, num_aggregators: int) -> MovementTable:
     """Each pair joins two different aggregators of the scenario's
     `num_aggregators` and is listed once, or the document is malformed; a
     table whose own size differs is left to `validate_config`."""
     try:
+        doc = _object(doc, "movement", _MOVEMENT_KEYS)
         n = _field(doc, "num_aggregators", int)
         listed: dict[tuple[int, int], MovementOption] = {}
         for p in doc["pairs"]:
+            p = _object(p, "movement pair", _PAIR_KEYS)
             i, j = _field(p, "from", int), _field(p, "to", int)
             in_range = 0 <= i < num_aggregators and 0 <= j < num_aggregators
             if i == j or not in_range or (i, j) in listed:
@@ -484,7 +475,7 @@ def _movement_from_dict(doc: dict, num_aggregators: int) -> MovementTable:
             listed[(i, j)] = MovementOption(
                 _field(p, "delay_slots", int), _field(p, "cost_kwh_per_slot", float)
             )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad movement matrix: {exc}") from exc
 
     def listed_option(i: int, j: int) -> MovementOption:
@@ -517,7 +508,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 "initial_energy_kwh": d.initial_energy_kwh,
                 "demand_kwh": d.demand_kwh,
                 "criticality": d.criticality,
-                "modes_kw": list(d.modes.levels_kw),
+                "modes_kw": list(d.modes_kw),
                 "home": d.home,
             }
             for d in scenario.devices
@@ -532,7 +523,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ScenarioFormatError(
                 f"unsupported schema_version {version!r} (expected {SCENARIO_SCHEMA_VERSION})"
             )
-        cfg_doc = doc["config"]
+        doc = _object(doc, "document", _DOCUMENT_KEYS)
+        cfg_doc = _object(doc["config"], "config", _CONFIG_KEYS, _OPTIONAL_CONFIG_KEYS)
         num_aggregators = _field(cfg_doc, "num_aggregators", int)
         cfg = SystemConfig(
             num_aggregators=num_aggregators,
@@ -544,17 +536,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 _field(cfg_doc, "beta_max", float) if "beta_max" in cfg_doc else DEFAULT_BETA_MAX
             ),
         )
-        # one PowerModeSet per distinct level tuple, as the generator
-        # shares one per physical device; it is frozen and compares by value
-        mode_sets: dict[tuple[float, ...], PowerModeSet] = {}
+        # equal level lists share one tuple, as a generated device's instances do
+        mode_sets: dict[tuple[float, ...], tuple[float, ...]] = {}
 
-        def modes(levels: tuple[float, ...]) -> PowerModeSet:
-            if levels not in mode_sets:
-                mode_sets[levels] = PowerModeSet(levels)
-            return mode_sets[levels]
-
-        devices = tuple(
-            DeviceRequest(
+        def device(d: dict) -> DeviceRequest:
+            d = _object(d, "device", _DEVICE_KEYS)
+            levels = _field(d, "modes_kw", list)
+            return DeviceRequest(
                 id=_field(d, "id", str),
                 arrival_slot=_field(d, "arrival_slot", int),
                 deadline_slot=_field(d, "deadline_slot", int),
@@ -562,13 +550,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 initial_energy_kwh=_field(d, "initial_energy_kwh", float),
                 demand_kwh=_field(d, "demand_kwh", float),
                 criticality=_field(d, "criticality", float),
-                modes=modes(_field(d, "modes_kw", list)),
+                modes_kw=mode_sets.setdefault(levels, levels),
                 home=_field(d, "home", int),
             )
-            for d in doc["devices"]
-        )
+
+        devices = tuple(map(device, doc["devices"]))
         return Scenario(_field(doc, "id", str), cfg, devices)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad scenario document: {exc}") from exc
 
 
@@ -576,5 +564,19 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(scenario), sort_keys=True))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object as a dict; a repeated key is malformed, not read as its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ScenarioFormatError(f"repeated key '{printable_id(key)}'")
+    return doc
+
+
+def read_json(path: str | Path):
+    """The JSON document in the file `path`; no object in it may repeat a key."""
+    return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+
+
 def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_dict(json.loads(Path(path).read_text()))
+    return scenario_from_dict(read_json(path))

@@ -146,7 +146,7 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
             continue
         moving = isinstance(action, Move)
         if isinstance(action, Serve):
-            delivered = request.modes.power(action.mode_index) * cfg.slot_hours
+            delivered = request.modes_kw[action.mode_index - 1] * cfg.slot_hours
             progress += min(delivered, max(demand + extra - progress, 0.0))
             if demand - progress <= EPS:
                 rest = row[slot + 1 :]

@@ -27,7 +27,6 @@ import numpy as np
 
 from .model import (
     DeviceRequest,
-    PowerModeSet,
     Scenario,
     ScenarioFormatError,
     SystemConfig,
@@ -104,7 +103,7 @@ def _simplex_split(
     return np.minimum(shares, caps)
 
 
-def _draw_modes(rng: np.random.Generator, need_kw: float) -> PowerModeSet | None:
+def _draw_modes(rng: np.random.Generator, need_kw: float) -> tuple[float, ...] | None:
     """The smallest pool mode covering `need_kw`, plus up to two seeded lower
     modes for downshifting; None when no pool mode covers it."""
     eligible = [m for m in MODE_POOL if m + 1e-12 >= need_kw]
@@ -118,7 +117,7 @@ def _draw_modes(rng: np.random.Generator, need_kw: float) -> PowerModeSet | None
         if n_extra
         else []
     )
-    return PowerModeSet(tuple(extras + [float(top)]))
+    return tuple(extras + [float(top)])
 
 
 def _line_config(num_aggregators: int, horizon_slots: int) -> SystemConfig:
@@ -244,7 +243,7 @@ def generate(spec: GenSpec) -> Scenario:
                     initial_energy_kwh=initial,
                     demand_kwh=kwh,
                     criticality=draft.kappa,
-                    modes=modes,
+                    modes_kw=modes,
                     home=draft.cluster,
                 )
             )
@@ -296,13 +295,10 @@ def micro_instances(
             arrival = int(rng.integers(0, max(tau - 2, 1)))
             deadline = int(rng.integers(arrival + 1, tau + 1))
             n_modes = int(rng.integers(1, 3))
-            levels = sorted(
-                float(m)
-                for m in rng.choice([1.0, 2.0, 3.0], size=n_modes, replace=False)
-            )
-            modes = PowerModeSet(tuple(levels))
+            levels = rng.choice([1.0, 2.0, 3.0], size=n_modes, replace=False)
+            modes = tuple(sorted(float(m) for m in levels))
             window = deadline - arrival
-            cap = modes.max_kw * slot_hours * window
+            cap = modes[-1] * slot_hours * window
             demand = round(float(rng.uniform(0.3, 1.0)) * cap, 2)
             demand = max(demand, 0.01)
             devices.append(
@@ -314,7 +310,7 @@ def micro_instances(
                     initial_energy_kwh=round(float(rng.uniform(0.0, 0.5)), 2),
                     demand_kwh=demand,
                     criticality=float(rng.choice(KAPPA_POOL)),
-                    modes=modes,
+                    modes_kw=modes,
                     home=int(rng.integers(0, J)),
                 )
             )
@@ -436,7 +432,7 @@ def ingest_sessions(
                 initial_energy_kwh=round(float(rng.uniform(0.5, 1.5)), 2) if mobile else 0.0,
                 demand_kwh=demand,
                 criticality=float(rng.choice(KAPPA_POOL)),
-                modes=modes,
+                modes_kw=modes,
                 home=station_home[rec.station],
             )
         )

@@ -34,7 +34,7 @@ def oracle_row(dev, row, cfg):
     progress = extra = deadline = mobility = stationary = mpf(0)
     for slot, action in enumerate(row):
         if isinstance(action, Serve):
-            delivered = mpf(dev.modes.levels_kw[action.mode_index - 1]) * mpf(cfg.slot_hours)
+            delivered = mpf(dev.modes_kw[action.mode_index - 1]) * mpf(cfg.slot_hours)
             progress = min(progress + delivered, demand + extra)
         elif isinstance(action, Move):
             edge = cfg.movement[action.origin][action.target]

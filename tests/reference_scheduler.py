@@ -59,7 +59,7 @@ RANK_KEYS = {
     "heuristic": lambda d, slot: (
         -urgency(d, slot),
         -d.req.criticality,
-        d.req.modes.levels_kw[0],
+        d.req.modes_kw[0],
         d.req.id,
     ),
     # nearest deadline first, then id
@@ -74,7 +74,7 @@ def serve_cluster(ranked, budget, slot_hours):
     modes = {}
     residual = budget
     for d in ranked:
-        lowest = d.req.modes.levels_kw[0]
+        lowest = d.req.modes_kw[0]
         if lowest <= residual + EPS:
             modes[d] = 1
             residual -= lowest
@@ -82,7 +82,7 @@ def serve_cluster(ranked, budget, slot_hours):
     while upgraded:
         upgraded = False
         for d in ranked:
-            levels = d.req.modes.levels_kw
+            levels = d.req.modes_kw
             current = modes.get(d)
             if current is None or current == len(levels):
                 continue
@@ -110,7 +110,7 @@ def offer_move(dev, residuals, cfg, slot):
     on_board = dev.req.initial_energy_kwh + dev.progress - dev.extra
     best = None
     for j, residual in enumerate(residuals):
-        if j == dev.at or residual + EPS < dev.req.modes.levels_kw[0]:
+        if j == dev.at or residual + EPS < dev.req.modes_kw[0]:
             continue
         edge = cfg.movement[dev.at][j]
         if slot + edge.delay_slots > cfg.horizon_slots - 1:
@@ -145,7 +145,7 @@ def reference_rows(cfg, requests, scheduler, mobility):
             if d in served:
                 mode = served[d]
                 rows[d.req.id][t] = Serve(mode, d.at)
-                delivered = d.req.modes.levels_kw[mode - 1] * cfg.slot_hours
+                delivered = d.req.modes_kw[mode - 1] * cfg.slot_hours
                 d.progress += min(delivered, d.deficit)
             elif mobility:
                 offer = offer_move(d, residuals, cfg, t)

@@ -13,7 +13,6 @@ from gridflex.model import (
     DeviceRequest,
     DeviceState,
     Move,
-    PowerModeSet,
     load_scenario,
 )
 from gridflex.priority import priority
@@ -128,7 +127,7 @@ class TestProperties:
                 initial_energy_kwh=0.0,
                 demand_kwh=round(float(rng.uniform(0.2, 8.0)), 2),
                 criticality=float(rng.choice([1.6, 1.8, 2.0])),
-                modes=PowerModeSet(levels),
+                modes_kw=levels,
                 home=0,
             )
             state = DeviceState(request=request, aggregator=0)
@@ -141,7 +140,7 @@ class TestProperties:
         by_id = {d.request.id: d for d in cluster}
 
         total = sum(
-            by_id[dev_id].request.modes.power(a.mode_index)
+            by_id[dev_id].request.modes_kw[a.mode_index - 1]
             for dev_id, a in assigned.items()
         )
         assert total <= budget + 1e-9
@@ -150,8 +149,8 @@ class TestProperties:
             dev = by_id[dev_id]
             # not met: the deficit exceeds EPS
             assert dev.target_kwh - dev.progress_kwh > EPS
-            assert 1 <= action.mode_index <= dev.request.modes.count
-            power = dev.request.modes.power(action.mode_index)
+            assert 1 <= action.mode_index <= len(dev.request.modes_kw)
+            power = dev.request.modes_kw[action.mode_index - 1]
             if action.mode_index > 1:
                 # upgrades never overshoot the outstanding demand
                 assert power * 0.5 <= dev.target_kwh - dev.progress_kwh + 1e-9

@@ -16,7 +16,6 @@ from gridflex.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from gridflex.model import (
     DeviceRequest,
     Move,
-    PowerModeSet,
     Scenario,
     Serve,
     SystemConfig,
@@ -399,6 +398,40 @@ class TestMalformedInput:
         out.write_text(json.dumps(doc))
         self.assert_rejected(["validate", str(scenario_file), str(out)], capsys)
 
+    @pytest.mark.parametrize("command", ["run", "validate", "solve-exact"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("unknown", "bad scenario document: unknown key 'beta_maxx' in config"),
+            ("missing", "bad scenario document: missing key 'home' in device"),
+            ("repeated", "repeated key 'horizon_slots'"),
+        ],
+        ids=["unknown-key", "missing-key", "repeated-key"],
+    )
+    def test_document_read_whole(self, command, edit, message, micro_file, capsys):
+        # each ran with exit 0: the unknown and the first repeated key unread
+        doc = json.loads(micro_file.read_text())
+        if edit == "unknown":
+            doc["config"]["beta_maxx"] = 1.0
+        if edit == "missing":
+            del doc["devices"][0]["home"]
+        text = json.dumps(doc)
+        if edit == "repeated":
+            text = text.replace('"horizon_slots": ', '"horizon_slots": 3, "horizon_slots": ', 1)
+        micro_file.write_text(text)
+        # `validate` stops at the scenario, before reading the result
+        args = [command, str(micro_file)] + [str(micro_file)] * (command == "validate")
+        assert main(args) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"malformed input: {message}\n"
+
+    def test_validate_repeated_result_key(self, tmp_path, scenario_file, capsys):
+        out = tmp_path / "result.json"
+        assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_OK
+        text = out.read_text().replace('"decisions": {', '"decisions": {}, "decisions": {', 1)
+        out.write_text(text)
+        assert main(["validate", str(scenario_file), str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "malformed input: repeated key 'decisions'\n"
+
     def test_validate_string_rows(self, tmp_path, scenario_file, capsys):
         # an all-Idle row written as one string must not be walked letter by letter
         out = tmp_path / "result.json"
@@ -482,7 +515,7 @@ class TestInvalidMovement:
     def test_delay_past_horizon_ceiling_rejected(self, command, tmp_path, capsys):
         # a JSON integer delay of 10**400 slots overflowed the float of its
         # move energy in the validator and the solver
-        device = DeviceRequest("a", 0, 2, True, 0.5, 1.0, 1.6, PowerModeSet((2.0,)), 0)
+        device = DeviceRequest("a", 0, 2, True, 0.5, 1.0, 1.6, (2.0,), 0)
         cfg = SystemConfig(2, (2.0, 2.0), 4, 0.5, uniform_movement(2, 10**400, 0.1))
         scenario_path = tmp_path / "far.json"
         save_scenario(Scenario("far", cfg, (device,)), scenario_path)
@@ -496,6 +529,32 @@ class TestInvalidMovement:
         assert capsys.readouterr().err == (
             f"scenario invalid: <config>: movement[0][1].{rule}; <config>: movement[1][0].{rule}\n"
         )
+
+
+class TestHugeInteger:
+    """A JSON integer beyond float range breaks only its own rule; no
+    product with a float is formed from it."""
+
+    @pytest.mark.parametrize("command", ["run", "validate", "solve-exact"])
+    @pytest.mark.parametrize(
+        "device, horizon, line",
+        [
+            ({"arrival_slot": -(10**400)}, 4, "a: arrival_slot: R_k >= 0"),
+            ({"deadline_slot": 10**400}, 4, "a: deadline_slot: T_k <= horizon"),
+            ({}, 10**400, "<config>: horizon_slots: horizon <= 1000 slots"),
+        ],
+        ids=["arrival", "deadline", "horizon"],
+    )
+    def test_rejected(self, command, device, horizon, line, tmp_path, capsys):
+        # each raised OverflowError, a traceback with exit 1
+        request = DeviceRequest("a", 0, 2, True, 0.5, 1.0, 1.6, (2.0,), 0)
+        request = dataclasses.replace(request, **device)
+        cfg = SystemConfig(2, (2.0, 2.0), horizon, 0.5, uniform_movement(2, 1, 0.1))
+        scenario_path = tmp_path / "huge.json"
+        save_scenario(Scenario("huge", cfg, (request,)), scenario_path)
+        args = [command, str(scenario_path)] + [str(scenario_path)] * (command == "validate")
+        assert main(args) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"scenario invalid: {line}\n"
 
 
 class TestInfeasibleRun:

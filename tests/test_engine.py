@@ -25,7 +25,6 @@ from gridflex.model import (
     DeviceRequest,
     Idle,
     Move,
-    PowerModeSet,
     Scenario,
     Serve,
     SystemConfig,
@@ -62,7 +61,7 @@ class TestRun:
         bad = DeviceRequest(
             id="x", arrival_slot=0, deadline_slot=4, mobile=False,
             initial_energy_kwh=0.0, demand_kwh=-1.0, criticality=1.6,
-            modes=PowerModeSet((1.0,)), home=0,
+            modes_kw=(1.0,), home=0,
         )
         with pytest.raises(InvalidScenarioError):
             run(Scenario("bad", cfg, (bad,)), "heuristic")
@@ -161,8 +160,8 @@ class TestReplay:
         # engineered so a mobile device actually migrates
         cfg = SystemConfig(2, (2.0, 2.0), 12, 0.5, line_movement(2, 0.15))
         devices = (
-            DeviceRequest("a", 0, 6, False, 0.0, 6.0, 1.6, PowerModeSet((2.0,)), 0),
-            DeviceRequest("b", 0, 6, True, 1.0, 6.0, 1.8, PowerModeSet((2.0,)), 0),
+            DeviceRequest("a", 0, 6, False, 0.0, 6.0, 1.6, (2.0,), 0),
+            DeviceRequest("b", 0, 6, True, 1.0, 6.0, 1.8, (2.0,), 0),
         )
         scenario = Scenario("mover", cfg, devices)
         result = run(scenario, "heuristic", mobility=True)
@@ -249,7 +248,7 @@ class TestFreshIdleInstance:
         dev = DeviceRequest(
             id="a", arrival_slot=0, deadline_slot=1, mobile=True,
             initial_energy_kwh=1.0, demand_kwh=4.0, criticality=1.6,
-            modes=PowerModeSet((2.0,)), home=0,
+            modes_kw=(2.0,), home=0,
         )
         row = [Serve(1, 0), Move(0, 1), IDLE, IDLE, IDLE]
         fresh = with_fresh_idles({"a": row})

@@ -26,7 +26,6 @@ from gridflex.model import (
     IDLE,
     Idle,
     Move,
-    PowerModeSet,
     Scenario,
     Serve,
     SystemConfig,
@@ -60,7 +59,7 @@ def make_request(dev_id, modes, demand, deadline, arrival=0, kappa=1.6,
         initial_energy_kwh=initial,
         demand_kwh=demand,
         criticality=kappa,
-        modes=PowerModeSet(tuple(float(m) for m in modes)),
+        modes_kw=tuple(float(m) for m in modes),
         home=home,
     )
 
@@ -93,8 +92,8 @@ def _device_rows(dev: DeviceRequest, cfg: SystemConfig):
         yield from extend(row + [IDLE], slot + 1, location, transit, progress, extra, spent)
         deficit = dev.demand_kwh + extra - progress
         if deficit > 1e-9:
-            for mode_index in range(1, dev.modes.count + 1):
-                delivered = dev.modes.power(mode_index) * cfg.slot_hours
+            for mode_index in range(1, len(dev.modes_kw) + 1):
+                delivered = dev.modes_kw[mode_index - 1] * cfg.slot_hours
                 new_progress = min(progress + delivered, dev.demand_kwh + extra)
                 yield from extend(
                     row + [Serve(mode_index, location)],
@@ -134,7 +133,7 @@ def brute_force_optimum(scenario: Scenario) -> float:
             for dev, row in zip(devices, combo):
                 action = row[t]
                 if isinstance(action, Serve):
-                    used[action.aggregator] += dev.modes.power(action.mode_index)
+                    used[action.aggregator] += dev.modes_kw[action.mode_index - 1]
             if any(u > cfg.budgets_kw[j] + 1e-9 for j, u in enumerate(used)):
                 feasible = False
                 break
@@ -322,9 +321,9 @@ class TestValidateSchedule:
         dev = scenario.device_map()[dev_id]
 
         corruptions = []
-        over = Serve(dev.modes.count, 99)  # unknown aggregator
+        over = Serve(len(dev.modes_kw), 99)  # unknown aggregator
         corruptions.append((dev_id, 0, over, "i"))
-        corruptions.append((dev_id, 0, Serve(dev.modes.count + 3, dev.home), "i"))
+        corruptions.append((dev_id, 0, Serve(len(dev.modes_kw) + 3, dev.home), "i"))
         if cfg.num_aggregators > 1:
             corruptions.append((dev_id, cfg.horizon_slots - 1, Move(dev.home, dev.home), "v"))
 

@@ -13,9 +13,12 @@ integer fields as well as float fields. Decoding, `validate_config` and
 Anything else (another exception, an infeasible schedule, a NaN or
 infinite loss) fails the test. A share of the fields is replaced by a
 wild value: any float in a float field; NaN, +/-Infinity, a boolean, a
-small float (mostly fractional) or a small integer in an integer field;
-a string, number or null in `mobile`; and a number, boolean or null in
-an `id`. Integers stay small so every run is short.
+small float (mostly fractional), a small integer or +/-10**400 (beyond
+float range) in an integer field; a string, number or null in `mobile`;
+and a number, boolean or null in an `id`. A document that runs has only
+small integers, since a huge one breaks a rule, so every run is short.
+At a low rate one object of the document gains a key the schema does
+not name, and the document must end as a format error.
 """
 
 import json
@@ -23,8 +26,21 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from gridflex import engine, exact
-from gridflex.model import ScenarioFormatError, scenario_from_dict, validate_config
+from gridflex.model import (
+    DeviceRequest,
+    Scenario,
+    ScenarioFormatError,
+    SystemConfig,
+    line_movement,
+    load_scenario,
+    save_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+    validate_config,
+)
 
 SCHEDULERS = ("heuristic", "edf", "hp")
 
@@ -33,6 +49,7 @@ WILD_INT = st.one_of(
     st.booleans(),
     st.floats(-3.0, 40.0),
     st.integers(-3, 40),
+    st.sampled_from([10**400, -(10**400)]),
 )
 WILD_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 WILD_FLAG = st.one_of(
@@ -109,7 +126,11 @@ def scenario_docs(draw):
         },
         "devices": devices,
     }
-    return json.loads(json.dumps(doc))
+    extra_key = draw(st.integers(0, 99)) < 5
+    if extra_key:
+        objects = [doc, doc["config"], doc["config"]["movement"], *pairs, *devices]
+        draw(st.sampled_from(objects))["note"] = 0
+    return json.loads(json.dumps(doc)), extra_key
 
 
 def outcome(doc) -> str:
@@ -134,9 +155,64 @@ def test_every_document_has_exactly_one_outcome():
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(scenario_docs())
-    def check(doc):
-        seen.add(outcome(doc))
+    def check(case):
+        doc, extra_key = case
+        result = outcome(doc)
+        assert result == "format error" or not extra_key, result
+        seen.add(result)
 
     check()
     # the fuzz proves little if one outcome swallows every document
     assert seen == {"format error", "violations", "ran"}
+
+
+# a small valid scenario: two aggregators, one mobile device
+SMALL = Scenario(
+    "small",
+    SystemConfig(2, (4.0, 4.0), 4, 0.5, line_movement(2)),
+    (DeviceRequest("d0", 0, 2, True, 0.5, 1.0, 1.6, (1.0, 2.0), 1),),
+)
+
+INTEGER_FIELDS = [
+    ("schema_version",),
+    ("config", "num_aggregators"),
+    ("config", "horizon_slots"),
+    ("config", "movement", "num_aggregators"),
+    ("config", "movement", "pairs", 0, "from"),
+    ("config", "movement", "pairs", 0, "to"),
+    ("config", "movement", "pairs", 0, "delay_slots"),
+    ("devices", 0, "arrival_slot"),
+    ("devices", 0, "deadline_slot"),
+    ("devices", 0, "home"),
+]
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["huge", "negative-huge"])
+@pytest.mark.parametrize("path", INTEGER_FIELDS, ids=lambda path: ".".join(map(str, path)))
+def test_huge_integer_has_one_outcome(path, value):
+    # WILD_INT's +/-10**400 seldom lands in an otherwise valid document;
+    # here each integer field of one holds it. A window cap or worst-case
+    # bound formed from a huge arrival, deadline or horizon overflowed.
+    doc = scenario_to_dict(SMALL)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    assert outcome(doc) in ("format error", "violations")
+
+
+# one key of each object: the document, its config, movement, a pair, a device
+@pytest.mark.parametrize(
+    "key", ["schema_version", "horizon_slots", "pairs", "delay_slots", "home"]
+)
+def test_repeated_key_is_malformed(key, tmp_path):
+    # JSON text may name a key twice, which no dict holds: the first value
+    # was dropped unread, so `"horizon_slots": 3, "horizon_slots": 5` ran at 5
+    path = tmp_path / "small.json"
+    save_scenario(SMALL, path)
+    assert load_scenario(path) == SMALL
+    text = path.read_text()
+    assert f'"{key}": ' in text
+    path.write_text(text.replace(f'"{key}": ', f'"{key}": 0, "{key}": ', 1))
+    with pytest.raises(ScenarioFormatError, match=f"^repeated key '{key}'$"):
+        load_scenario(path)

@@ -17,7 +17,6 @@ from gridflex.model import (
     IDLE,
     Idle,
     Move,
-    PowerModeSet,
     Scenario,
     Serve,
     SystemConfig,
@@ -37,7 +36,7 @@ def make_request(dev_id, modes, demand=50.0, deadline=10, arrival=0, kappa=1.6,
         initial_energy_kwh=initial,
         demand_kwh=demand,
         criticality=kappa,
-        modes=PowerModeSet(tuple(float(m) for m in modes)),
+        modes_kw=tuple(float(m) for m in modes),
         home=home,
     )
 
@@ -147,7 +146,7 @@ class TestScheduleSlot:
         ]
         assigned, _ = schedule_slot(devs, 0, 7.0, 0, 0.5)
         total = sum(
-            devs[0].request.modes.power(a.mode_index) for a in assigned.values()
+            devs[0].request.modes_kw[a.mode_index - 1] for a in assigned.values()
         )
         assert total <= 7.0 + 1e-9
 
@@ -451,7 +450,7 @@ class TestCommittedLoad:
         for dev in devs:
             for t, action in enumerate(result.decisions[dev.id]):
                 if isinstance(action, Serve):
-                    drawn[t][action.aggregator] += dev.modes.power(action.mode_index)
+                    drawn[t][action.aggregator] += dev.modes_kw[action.mode_index - 1]
         assert len(result.committed_kw) == cfg.horizon_slots
         for t in range(cfg.horizon_slots):
             assert len(result.committed_kw[t]) == cfg.num_aggregators
@@ -667,8 +666,8 @@ class TestMobilityOffers:
         calls = record_mobility_calls(monkeypatch)
         cfg = SystemConfig(2, (2.0, 2.0), 12, 0.5, line_movement(2, 0.15))
         devs = [
-            DeviceRequest("a", 0, 6, False, 0.0, 6.0, 1.6, PowerModeSet((2.0,)), 0),
-            DeviceRequest("b", 0, 6, True, 1.0, 6.0, 1.8, PowerModeSet((2.0,)), 0),
+            DeviceRequest("a", 0, 6, False, 0.0, 6.0, 1.6, (2.0,), 0),
+            DeviceRequest("b", 0, 6, True, 1.0, 6.0, 1.8, (2.0,), 0),
         ]
         result = run_horizon(cfg, devs)
         starts = [

@@ -10,7 +10,6 @@ from gridflex.model import (
     MAX_HORIZON_SLOTS,
     DeviceRequest,
     MovementOption,
-    PowerModeSet,
     Scenario,
     ScenarioFormatError,
     SystemConfig,
@@ -45,11 +44,16 @@ def make_device(**overrides):
         initial_energy_kwh=0.0,
         demand_kwh=3.0,
         criticality=1.6,
-        modes=PowerModeSet((1.0, 2.0, 3.0)),
+        modes_kw=(1.0, 2.0, 3.0),
         home=0,
     )
     base.update(overrides)
     return DeviceRequest(**base)
+
+
+# the violation of a mode list that is empty, not strictly ascending,
+# not positive or not finite
+MODES_RULE = Violation("d000", "modes_kw", "non-empty, strictly ascending, positive, finite")
 
 
 class TestMovementMatrix:
@@ -119,21 +123,6 @@ class TestMovementMatrix:
         ]
 
 
-class TestPowerModeSet:
-    def test_implicit_zero_mode(self):
-        modes = PowerModeSet((1.0, 3.0))
-        assert modes.power(0) == 0.0
-        assert modes.power(1) == 1.0
-        assert modes.power(2) == 3.0
-
-    def test_well_formed_requires_strict_ascent(self):
-        assert PowerModeSet((1.0, 2.0)).is_well_formed()
-        assert not PowerModeSet((2.0, 2.0)).is_well_formed()
-        assert not PowerModeSet((2.0, 1.0)).is_well_formed()
-        assert not PowerModeSet(()).is_well_formed()
-        assert not PowerModeSet((0.0, 1.0)).is_well_formed()
-
-
 class TestValidateConfig:
     def test_zero_demand_flagged(self):
         cfg = make_config()
@@ -145,7 +134,7 @@ class TestValidateConfig:
         # demand 5 kWh over 4 slots at 0.5 h with a 2 kW top mode: cap is 4
         cfg = make_config(horizon=4)
         dev = make_device(
-            modes=PowerModeSet((1.0, 2.0)),
+            modes_kw=(1.0, 2.0),
             arrival_slot=0,
             deadline_slot=4,
             demand_kwh=5.0,
@@ -192,14 +181,14 @@ class TestValidateConfig:
         assert [(v.field, v.rule) for v in violations] == [("initial_energy_kwh", "finite")]
 
     def test_nan_mode_level_flagged(self):
-        dev = make_device(modes=PowerModeSet((1.0, math.nan, 3.0)))
+        dev = make_device(modes_kw=(1.0, math.nan, 3.0))
         violations = validate_config(make_config(), [dev])
-        assert [v.field for v in violations] == ["modes"]
+        assert [v.field for v in violations] == ["modes_kw"]
 
     def test_infinite_top_mode_flagged(self):
-        dev = make_device(modes=PowerModeSet((1.0, 2.0, math.inf)))
+        dev = make_device(modes_kw=(1.0, 2.0, math.inf))
         violations = validate_config(make_config(), [dev])
-        assert [v.field for v in violations] == ["modes"]
+        assert [v.field for v in violations] == ["modes_kw"]
 
     def test_nan_movement_cost_flagged(self):
         cfg = make_config()
@@ -229,7 +218,7 @@ class TestValidateConfig:
                 deadline_slot=1,
                 demand_kwh=0.5,
                 criticality=1000.0,
-                modes=PowerModeSet((1.0,)),
+                modes_kw=(1.0,),
             )
             for k in range(6)
         ]
@@ -307,6 +296,27 @@ class TestValidateConfig:
                 [make_device(criticality=0.0)],
                 [Violation("d000", "criticality", "criticality > 0")],
             ),
+            *(
+                (make_config(), [make_device(modes_kw=modes)], [MODES_RULE])
+                for modes in [(2.0, 2.0), (2.0, 1.0), (), (0.0, 1.0)]
+            ),
+            # integers beyond float range: each breaks only its own rule,
+            # and no window cap or worst-case bound is formed from it
+            (
+                make_config(),
+                [make_device(arrival_slot=-(10**400))],
+                [Violation("d000", "arrival_slot", "R_k >= 0")],
+            ),
+            (
+                make_config(),
+                [make_device(deadline_slot=10**400)],
+                [Violation("d000", "deadline_slot", "T_k <= horizon")],
+            ),
+            (
+                make_config(horizon=10**400),
+                [make_device()],
+                [Violation(None, "horizon_slots", f"horizon <= {MAX_HORIZON_SLOTS} slots")],
+            ),
         ],
         ids=[
             "no-aggregator",
@@ -321,6 +331,13 @@ class TestValidateConfig:
             "negative-arrival",
             "negative-initial-energy",
             "zero-criticality",
+            "repeated-mode",
+            "descending-modes",
+            "no-mode",
+            "zero-mode",
+            "huge-negative-arrival",
+            "huge-deadline",
+            "huge-horizon",
         ],
     )
     def test_rule_flagged(self, cfg, devices, expected):
@@ -368,15 +385,15 @@ class TestScenarioRoundTrip:
 
     def test_equal_mode_levels_share_one_set(self):
         devices = (
-            make_device(id="d0", modes=PowerModeSet((1.0, 2.0))),
-            make_device(id="d1", modes=PowerModeSet((1.0, 2.0))),
-            make_device(id="d2", modes=PowerModeSet((1.0, 3.0))),
+            make_device(id="d0", modes_kw=(1.0, 2.0)),
+            make_device(id="d1", modes_kw=(1.0, 2.0)),
+            make_device(id="d2", modes_kw=(1.0, 3.0)),
         )
         doc = scenario_to_dict(Scenario("m", make_config(), devices))
         doc["devices"][1]["modes_kw"] = [1, 2]  # integers decode to the same levels
         back = scenario_from_dict(doc)
-        assert back.devices[0].modes is back.devices[1].modes
-        assert back.devices[0].modes is not back.devices[2].modes
+        assert back.devices[0].modes_kw is back.devices[1].modes_kw
+        assert back.devices[0].modes_kw is not back.devices[2].modes_kw
         assert back == Scenario("m", make_config(), devices)
 
     def test_generated_scenario_round_trips_through_a_file(self, tmp_path):
@@ -385,12 +402,52 @@ class TestScenarioRoundTrip:
         save_scenario(scenario, path)
         back = load_scenario(path)
         assert back == scenario
-        # one set object per distinct level tuple
-        assert len({id(d.modes) for d in back.devices}) == len({d.modes for d in back.devices})
+        # one tuple object per distinct level list
+        levels = [d.modes_kw for d in back.devices]
+        assert len({id(modes) for modes in levels}) == len(set(levels))
 
     def test_missing_field_raises_format_error(self):
         with pytest.raises(ScenarioFormatError):
             scenario_from_dict({"id": "x", "devices": []})
+
+    @pytest.mark.parametrize(
+        "path, key, message",
+        [
+            ((), "note", "unknown key 'note' in document"),
+            (("config",), "beta_maxx", "unknown key 'beta_maxx' in config"),
+            (("config", "movement"), "note", "unknown key 'note' in movement"),
+            (("config", "movement", "pairs", 0), "note", "unknown key 'note' in movement pair"),
+            (("devices", 0), "a\nb", "unknown key 'a\\\\nb' in device"),
+            ((), "devices", "missing key 'devices' in document"),
+            (("config",), "slot_hours", "missing key 'slot_hours' in config"),
+            (("config", "movement"), "pairs", "missing key 'pairs' in movement"),
+            (("config", "movement", "pairs", 0), "to", "missing key 'to' in movement pair"),
+            (("devices", 0), "modes_kw", "missing key 'modes_kw' in device"),
+        ],
+        ids=[
+            "unknown-top", "unknown-config", "unknown-movement", "unknown-pair",
+            "unknown-device-escaped", "missing-top", "missing-config", "missing-movement",
+            "missing-pair", "missing-device",
+        ],
+    )
+    def test_key_set_read_whole(self, path, key, message):
+        # a misspelt key is neither ignored nor taken for a missing one's default
+        doc = scenario_to_dict(Scenario("k", make_config(), (make_device(),)))
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        if key in parent:
+            del parent[key]
+        else:
+            parent[key] = 0
+        with pytest.raises(ScenarioFormatError, match=f"^bad scenario document: .*{message}$"):
+            scenario_from_dict(doc)
+
+    def test_beta_max_is_optional(self):
+        scenario = Scenario("b", make_config(), (make_device(),))
+        doc = scenario_to_dict(scenario)
+        del doc["config"]["beta_max"]
+        assert scenario_from_dict(doc) == scenario
 
     def test_unknown_schema_version_rejected(self):
         doc = scenario_to_dict(Scenario("v", make_config(), (make_device(),)))

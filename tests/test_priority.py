@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from gridflex.baselines import edf_rank, hp_rank
 from gridflex.heuristic import heuristic_rank
-from gridflex.model import DeviceRequest, DeviceState, PowerModeSet
+from gridflex.model import DeviceRequest, DeviceState
 from gridflex.priority import priority
 
 
@@ -61,7 +61,7 @@ def state(dev_id, progress=0.0, deadline=SLOT, kappa=1.6, min_mode=1.0):
         initial_energy_kwh=0.0,
         demand_kwh=10.0,
         criticality=kappa,
-        modes=PowerModeSet((min_mode, 5.0)),
+        modes_kw=(min_mode, 5.0),
         home=0,
     )
     st = DeviceState(request=request, aggregator=0)

@@ -13,7 +13,6 @@ from gridflex.model import (
     DeviceState,
     IDLE,
     Move,
-    PowerModeSet,
     Serve,
     SystemConfig,
     line_movement,
@@ -39,7 +38,7 @@ def make_request(demand=10.0, deadline=6, kappa=1.6, mobile=True, initial=1.0, h
         initial_energy_kwh=initial,
         demand_kwh=demand,
         criticality=kappa,
-        modes=PowerModeSet((1.0, 2.0, 3.0)),
+        modes_kw=(1.0, 2.0, 3.0),
         home=home,
     )
 
@@ -185,7 +184,7 @@ def slot_by_slot(request, row, cfg):
     total = d_sum = m_sum = p_sum = 0.0
     for slot, action in enumerate(row):
         if isinstance(action, Serve):
-            delivered = request.modes.power(action.mode_index) * cfg.slot_hours
+            delivered = request.modes_kw[action.mode_index - 1] * cfg.slot_hours
             progress += min(delivered, max(request.demand_kwh + extra - progress, 0.0))
         elif isinstance(action, Move) and (slot == 0 or row[slot - 1] != action):
             extra += cfg.movement[action.origin][action.target].total_kwh

@@ -289,7 +289,7 @@ class TestIngestSessions:
         scenario, _ = ingest_sessions(records, IngestSpec(seed=0))
         dev = scenario.devices[0]
         # 19 kWh over 20 slots x 0.5 h needs 1.9 kW: smallest pool mode is 2
-        assert dev.modes.max_kw == 2.0
+        assert dev.modes_kw[-1] == 2.0
 
     def test_seed_determinism(self):
         records, _ = parse_sessions(SESSIONS_CSV)
