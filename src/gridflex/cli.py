@@ -315,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot open {printable_id(str(exc.filename))}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    except (json.JSONDecodeError, UnicodeDecodeError, ScenarioFormatError) as exc:
+    except (UnicodeDecodeError, ScenarioFormatError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except workload.GenerationError as exc:

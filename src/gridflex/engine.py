@@ -68,7 +68,7 @@ class RunResult:
             "scheduler": self.scheduler,
             "mobility_enabled": self.mobility_enabled,
             "total_loss": self.total_loss,
-            "per_device": {k: self.per_device[k] for k in sorted(self.per_device)},
+            "per_device": self.per_device,
             "utilization_kw": self.utilization_kw,
         }
         if include_timing:

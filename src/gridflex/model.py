@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Union
+from typing import AbstractSet, Callable, Iterable, Union
 
 EPS = 1e-9
 
@@ -392,23 +392,14 @@ def validate_config(cfg: SystemConfig, devices: Iterable[DeviceRequest]) -> list
 # ---------------------------------------------------------------------------
 
 
-def _movement_to_dict(table: MovementTable) -> dict:
-    pairs = [
-        {
-            "from": i,
-            "to": j,
-            "delay_slots": opt.delay_slots,
-            "cost_kwh_per_slot": opt.cost_kwh_per_slot,
-        }
-        for i, row in enumerate(table)
-        for j, opt in enumerate(row)
-        if i != j
-    ]
-    return {"num_aggregators": len(table), "pairs": pairs}
+def _to_dict(record) -> dict:
+    """A record as its document object: its fields, a tuple as a list."""
+    return {key: list(v) if type(v) is tuple else v for key, v in vars(record).items()}
 
 
 _KIND_NAMES = {
-    int: "an integer", float: "a number", str: "a string", bool: "a boolean", list: "a list"
+    int: "an integer", float: "a number", str: "a string", bool: "a boolean", list: "a list",
+    dict: "an object",
 }
 
 
@@ -421,8 +412,8 @@ def _field(doc: dict, key: str, kind: type):
       string `"0.5"` and the boolean `true`;
     - `list`: a JSON list of numbers, as a tuple of floats; iterating the
       string `"44"` would read the budgets `(4.0, 4.0)`;
-    - `str`, `bool`: exactly that JSON type; `bool()` would make `"false"`
-      true, `str()` would make `null` the id `'None'`.
+    - `str`, `bool`, `dict`: exactly that JSON type; `bool()` would make
+      `"false"` true, `str()` would make `null` the id `'None'`.
     """
     value = doc[key]
     if type(value) is kind and kind is not list:
@@ -438,20 +429,32 @@ def _field(doc: dict, key: str, kind: type):
     raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-# the keys of each document object; a defaulted `SystemConfig` field is optional
+# the JSON kind `_field` reads a record's field as, by its annotation
+_KINDS = {
+    "int": int, "float": float, "str": str, "bool": bool, "tuple[float, ...]": list,
+    "MovementTable": dict,
+}
+
+
+def _kinds(cls) -> dict[str, type]:
+    """Each field of the record `cls`, a key of its document object, with its JSON kind."""
+    return {f.name: _KINDS[f.type] for f in fields(cls)}
+
+
+_DEVICE_FIELDS = _kinds(DeviceRequest)
+_CONFIG_FIELDS = _kinds(SystemConfig)
+# a pair names the two aggregators it joins beside its option's fields
+_PAIR_FIELDS = {"from": int, "to": int, **_kinds(MovementOption)}
+# a defaulted config field may be left out of its object
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(SystemConfig) if f.default is not MISSING}
 _DOCUMENT_KEYS = frozenset({"schema_version", "id", "config", "devices"})
-_CONFIG_KEYS = frozenset(f.name for f in fields(SystemConfig))
-_OPTIONAL_CONFIG_KEYS = frozenset(f.name for f in fields(SystemConfig) if f.default is not MISSING)
 _MOVEMENT_KEYS = frozenset({"num_aggregators", "pairs"})
-_PAIR_KEYS = frozenset({"from", "to", "delay_slots", "cost_kwh_per_slot"})
-_DEVICE_KEYS = frozenset(f.name for f in fields(DeviceRequest))
 
 
-def _object(doc: dict, name: str, keys: frozenset[str], optional=frozenset()) -> dict:
-    """`doc` when it holds every key of `keys` but those in `optional`,
-    and no other key: a misspelt key is not passed over."""
+def _object(doc: dict, name: str, keys: AbstractSet[str]) -> dict:
+    """`doc` when it holds exactly the keys `keys`: a misspelt key is not passed over."""
     if doc.keys() != keys:
-        unknown, missing = doc.keys() - keys, keys - optional - doc.keys()
+        unknown, missing = doc.keys() - keys, keys - doc.keys()
         if unknown or missing:
             problem, key = ("unknown", min(unknown)) if unknown else ("missing", min(missing))
             raise ValueError(f"{problem} key '{printable_id(key)}' in {name}")
@@ -467,14 +470,12 @@ def _movement_from_dict(doc: dict, num_aggregators: int) -> MovementTable:
         n = _field(doc, "num_aggregators", int)
         listed: dict[tuple[int, int], MovementOption] = {}
         for p in doc["pairs"]:
-            p = _object(p, "movement pair", _PAIR_KEYS)
-            i, j = _field(p, "from", int), _field(p, "to", int)
+            p = _object(p, "movement pair", _PAIR_FIELDS.keys())
+            i, j, *option = [_field(p, key, kind) for key, kind in _PAIR_FIELDS.items()]
             in_range = 0 <= i < num_aggregators and 0 <= j < num_aggregators
             if i == j or not in_range or (i, j) in listed:
                 raise ValueError(f"pair {i}->{j} is diagonal, out of range or repeated")
-            listed[(i, j)] = MovementOption(
-                _field(p, "delay_slots", int), _field(p, "cost_kwh_per_slot", float)
-            )
+            listed[(i, j)] = MovementOption(*option)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad movement matrix: {exc}") from exc
 
@@ -487,32 +488,18 @@ def _movement_from_dict(doc: dict, num_aggregators: int) -> MovementTable:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    cfg = scenario.config
+    cfg, table = scenario.config, scenario.config.movement
+    pairs = [
+        {"from": i, "to": j, **vars(opt)}
+        for i, row in enumerate(table)
+        for j, opt in enumerate(row)
+        if i != j
+    ]
     return {
         "schema_version": SCENARIO_SCHEMA_VERSION,
         "id": scenario.scenario_id,
-        "config": {
-            "num_aggregators": cfg.num_aggregators,
-            "budgets_kw": list(cfg.budgets_kw),
-            "horizon_slots": cfg.horizon_slots,
-            "slot_hours": cfg.slot_hours,
-            "beta_max": cfg.beta_max,
-            "movement": _movement_to_dict(cfg.movement),
-        },
-        "devices": [
-            {
-                "id": d.id,
-                "arrival_slot": d.arrival_slot,
-                "deadline_slot": d.deadline_slot,
-                "mobile": d.mobile,
-                "initial_energy_kwh": d.initial_energy_kwh,
-                "demand_kwh": d.demand_kwh,
-                "criticality": d.criticality,
-                "modes_kw": list(d.modes_kw),
-                "home": d.home,
-            }
-            for d in scenario.devices
-        ],
+        "config": {**_to_dict(cfg), "movement": {"num_aggregators": len(table), "pairs": pairs}},
+        "devices": [_to_dict(d) for d in scenario.devices],
     }
 
 
@@ -524,38 +511,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 f"unsupported schema_version {version!r} (expected {SCENARIO_SCHEMA_VERSION})"
             )
         doc = _object(doc, "document", _DOCUMENT_KEYS)
-        cfg_doc = _object(doc["config"], "config", _CONFIG_KEYS, _OPTIONAL_CONFIG_KEYS)
-        num_aggregators = _field(cfg_doc, "num_aggregators", int)
-        cfg = SystemConfig(
-            num_aggregators=num_aggregators,
-            budgets_kw=_field(cfg_doc, "budgets_kw", list),
-            horizon_slots=_field(cfg_doc, "horizon_slots", int),
-            slot_hours=_field(cfg_doc, "slot_hours", float),
-            movement=_movement_from_dict(cfg_doc["movement"], num_aggregators),
-            beta_max=(
-                _field(cfg_doc, "beta_max", float) if "beta_max" in cfg_doc else DEFAULT_BETA_MAX
-            ),
-        )
+        cfg_doc = _object({**_CONFIG_DEFAULTS, **doc["config"]}, "config", _CONFIG_FIELDS.keys())
+        cfg = {key: _field(cfg_doc, key, kind) for key, kind in _CONFIG_FIELDS.items()}
+        # a pair may join only aggregators the config counts
+        cfg["movement"] = _movement_from_dict(cfg["movement"], cfg["num_aggregators"])
         # equal level lists share one tuple, as a generated device's instances do
-        mode_sets: dict[tuple[float, ...], tuple[float, ...]] = {}
+        shared: dict[tuple[float, ...], tuple[float, ...]] = {}
+        # read once per document: iterating the dict itself per device reads slower
+        keys, kinds = _DEVICE_FIELDS.keys(), tuple(_DEVICE_FIELDS.items())
 
         def device(d: dict) -> DeviceRequest:
-            d = _object(d, "device", _DEVICE_KEYS)
-            levels = _field(d, "modes_kw", list)
-            return DeviceRequest(
-                id=_field(d, "id", str),
-                arrival_slot=_field(d, "arrival_slot", int),
-                deadline_slot=_field(d, "deadline_slot", int),
-                mobile=_field(d, "mobile", bool),
-                initial_energy_kwh=_field(d, "initial_energy_kwh", float),
-                demand_kwh=_field(d, "demand_kwh", float),
-                criticality=_field(d, "criticality", float),
-                modes_kw=mode_sets.setdefault(levels, levels),
-                home=_field(d, "home", int),
-            )
+            d = _object(d, "device", keys)
+            return DeviceRequest(*[
+                shared.setdefault(v, v) if kind is list else v
+                for key, kind in kinds
+                for v in (_field(d, key, kind),)
+            ])
 
         devices = tuple(map(device, doc["devices"]))
-        return Scenario(_field(doc, "id", str), cfg, devices)
+        return Scenario(_field(doc, "id", str), SystemConfig(**cfg), devices)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad scenario document: {exc}") from exc
 
@@ -574,8 +548,14 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def read_json(path: str | Path):
-    """The JSON document in the file `path`; no object in it may repeat a key."""
-    return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    """The JSON document in the file `path`; a repeated key, or text that does not parse
+    (past `int()`'s digit limit or the recursion limit too), is a `ScenarioFormatError`."""
+    try:
+        return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except ScenarioFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise ScenarioFormatError(str(exc)) from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:

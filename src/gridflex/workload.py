@@ -335,33 +335,36 @@ def parse_sessions(text: str) -> tuple[list[SessionRecord], int]:
     """Parse delimited session records (header: arrival, departure, kwh, station).
 
     A header without one of those columns raises `ScenarioFormatError`
-    naming the missing ones. Rows with missing fields, unparseable
-    timestamps, a non-positive or non-finite energy, a departure at or
-    before the arrival, or one timestamp with a UTC offset and the other
-    without (they cannot be compared) are skipped; the skip count is
-    returned alongside.
+    naming the missing ones, as does text the csv module cannot read.
+    Rows with missing fields, unparseable timestamps, a non-positive or
+    non-finite energy, a departure at or before the arrival, or one
+    timestamp with a UTC offset and the other without (they cannot be
+    compared) are skipped; the skip count is returned alongside.
     """
     records: list[SessionRecord] = []
     skipped = 0
     reader = csv.DictReader(io.StringIO(text))
-    missing = [c for c in SESSION_COLUMNS if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ScenarioFormatError(f"session header lacks column(s): {', '.join(missing)}")
-    for row in reader:
-        try:
-            arrival = datetime.fromisoformat(row["arrival"].strip())
-            departure = datetime.fromisoformat(row["departure"].strip())
-            energy = float(row["kwh"])
-            station = row["station"].strip()
-            # comparing an offset-aware time with a naive one raises TypeError
-            usable = departure > arrival and 0 < energy < math.inf
-        # a short row fills its missing fields with None
-        except (TypeError, ValueError, AttributeError):
-            usable = False
-        if not usable:
-            skipped += 1
-            continue
-        records.append(SessionRecord(arrival, departure, energy, station))
+    try:
+        missing = [c for c in SESSION_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ScenarioFormatError(f"session header lacks column(s): {', '.join(missing)}")
+        for row in reader:
+            try:
+                arrival = datetime.fromisoformat(row["arrival"].strip())
+                departure = datetime.fromisoformat(row["departure"].strip())
+                energy = float(row["kwh"])
+                station = row["station"].strip()
+                # comparing an offset-aware time with a naive one raises TypeError
+                usable = departure > arrival and 0 < energy < math.inf
+            # a short row fills its missing fields with None
+            except (TypeError, ValueError, AttributeError):
+                usable = False
+            if not usable:
+                skipped += 1
+                continue
+            records.append(SessionRecord(arrival, departure, energy, station))
+    except csv.Error as exc:  # a field longer than the csv module's limit
+        raise ScenarioFormatError(f"unreadable session records: {exc}") from exc
     return records, skipped
 
 

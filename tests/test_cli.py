@@ -441,6 +441,44 @@ class TestMalformedInput:
         out.write_text(json.dumps(doc))
         self.assert_rejected(["validate", str(scenario_file), str(out)], capsys)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"schema_version": ' + "1" * 5001 + "}", "Exceeds the limit (4300 digits)"),
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["5001-digit-integer", "100000-deep-nesting"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{bad}"],
+            ["validate", "{bad}", "{micro}"],
+            ["validate", "{micro}", "{bad}"],
+            ["solve-exact", "{bad}"],
+            ["experiment", "baseline-compare", "--scenario", "{bad}"],
+        ],
+        ids=["run", "validate-scenario", "validate-result", "solve-exact", "baseline-compare"],
+    )
+    def test_json_past_parser_limits(self, text, message, argv, micro_file, tmp_path, capsys):
+        # each was a ValueError or RecursionError traceback with exit 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = [a.format(bad=bad, micro=micro_file) for a in argv]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"malformed input: {message}")
+        assert err.count("\n") == 1
+
+    def test_ingest_csv_field_past_limit(self, tmp_path, capsys):
+        # a csv.Error traceback with exit 1
+        bad = tmp_path / "sessions.csv"
+        bad.write_text("arrival,departure,kwh,station\n" + "x" * 131_073 + ",a,1,s\n")
+        assert main(["ingest", str(bad)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "malformed input: unreadable session records: field larger than field limit (131072)\n"
+        )
+
 
 def _nan_initial_energy(doc):
     doc["devices"][0]["initial_energy_kwh"] = math.nan

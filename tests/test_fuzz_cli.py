@@ -3,9 +3,11 @@
 `cli.main(argv)` runs in process on a subcommand with flags drawn from
 pools of valid and invalid values (seeds, counts, fractions, node
 budgets, formats) and paths drawn from fixture files: a valid micro
-scenario, an invalid one, a non-UTF-8 file, a directory, a missing path
-and a result document. An experiment suite gets its own flags and, one
-call in ten, a flag only another suite reads. Every call must:
+scenario, an invalid one, a non-UTF-8 file, a 5,001-digit integer, a
+100,000-deep nesting, a session file with a 131,073-character field, a
+directory, a missing path and a result document. An experiment suite
+gets its own flags and, one call in ten, a flag only another suite
+reads. Every call must:
 
 - return 0, 1, 2 or 3 and raise nothing;
 - print at most one stderr line when it fails;
@@ -42,13 +44,18 @@ def _build_paths() -> dict[str, str]:
     (ROOT / "invalid.json").write_text(json.dumps(invalid))
 
     (ROOT / "latin1.json").write_bytes(b'{"scenario_id": "caf\xe9"}')
+    # past the limits of the json and csv modules themselves
+    (ROOT / "long_integer.json").write_text('{"schema_version": ' + "1" * 5001 + "}")
+    (ROOT / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (ROOT / "long_field.csv").write_text("arrival,departure,kwh,station\n" + "x" * 131_073 + "\n")
     (ROOT / "dir").mkdir()
     result = engine.run(micro)
     (ROOT / "result.json").write_text(json.dumps(result.to_dict()))
     return {
         name: str(ROOT / name)
         for name in (
-            "micro.json", "invalid.json", "latin1.json", "dir", "missing.json", "result.json"
+            "micro.json", "invalid.json", "latin1.json", "long_integer.json", "deep.json",
+            "long_field.csv", "dir", "missing.json", "result.json",
         )
     }
 
