@@ -112,6 +112,13 @@ def validate_schedule(
     device; anything else raises `ScheduleFormatError` (structural, not a
     constraint failure). Violations carry the earliest (device, slot)
     witness per constraint.
+
+    The walk pays per event (a Serve or Move cell), so it dispatches on
+    each action's exact type (`Idle`, `Serve`, `Move`; any other object
+    is passed over) and reads the device's and configuration's fields
+    once per row. Served power goes into a `[slot][aggregator]` load
+    table, summed in device-id order, and every cell is held to its
+    aggregator's budget.
     """
     tau = cfg.horizon_slots
     by_id = {d.id: d for d in devices}
@@ -129,11 +136,18 @@ def validate_schedule(
         name: ConstraintCheck(name, CONSTRAINT_DESCRIPTIONS[name])
         for name in CONSTRAINT_ORDER
     }
-    load: dict[tuple[int, int], float] = {}
+    num_aggregators = cfg.num_aggregators
+    slot_hours = cfg.slot_hours
+    movement = cfg.movement
+    ids = sorted(decisions)
+    load = [[0.0] * num_aggregators for _ in range(tau)]
 
-    for dev_id in sorted(decisions):
+    for dev_id in ids:
         dev = by_id[dev_id]
         row = decisions[dev_id]
+        modes_kw = dev.modes_kw
+        n_modes = len(modes_kw)
+        demand = dev.demand_kwh
         progress = 0.0
         extra = 0.0
         # a transit is a re-arrival: the departure puts the device at its
@@ -148,74 +162,75 @@ def validate_schedule(
         start = arrival if row[:arrival].count(IDLE) == arrival else 0
 
         for t, action in enumerate(row[start:], start):
+            kind = type(action)
             if transit is not None:
                 if t < landing:
                     if action == transit:
                         continue
                     # transit interrupted before its delay elapsed
                     checks["vi"].record(dev_id, t)
-                    if isinstance(action, Serve):
+                    if kind is Serve:
                         checks["iv"].record(dev_id, t)
                         checks["vii"].record(dev_id, t)
-                    if isinstance(action, Move):
+                    elif kind is Move:
                         checks["v"].record(dev_id, t)
                 transit = None
-            elif type(action) is Idle:
+            elif kind is Idle:
                 # nothing to check or replay
                 continue
 
-            if isinstance(action, Move):
-                if t < dev.arrival_slot:
+            if kind is Serve:
+                if t < arrival:
                     checks["ii"].record(dev_id, t)
-                bad_edge = False
-                if not (
-                    0 <= action.origin < cfg.num_aggregators
-                    and 0 <= action.target < cfg.num_aggregators
-                ):
-                    checks["v"].record(dev_id, t)
-                    bad_edge = True
-                elif action.origin == action.target:
-                    checks["v"].record(dev_id, t)
-                    bad_edge = True
-                elif action.origin != location:
-                    checks["v"].record(dev_id, t)
-                if bad_edge:
-                    continue
-                opt = cfg.movement[action.origin][action.target]
-                extra += opt.total_kwh
-                location, transit, landing = action.target, action, t + opt.delay_slots
-
-            elif isinstance(action, Serve):
-                if t < dev.arrival_slot:
-                    checks["ii"].record(dev_id, t)
-                if not 1 <= action.mode_index <= len(dev.modes_kw):
+                mode = action.mode_index
+                j = action.aggregator
+                if not (1 <= mode <= n_modes and 0 <= j < num_aggregators):
                     checks["i"].record(dev_id, t)
                     continue
-                if not 0 <= action.aggregator < cfg.num_aggregators:
+                if j != location:
                     checks["i"].record(dev_id, t)
-                    continue
-                if action.aggregator != location:
-                    checks["i"].record(dev_id, t)
-                power = dev.modes_kw[action.mode_index - 1]
-                load[(t, action.aggregator)] = load.get((t, action.aggregator), 0.0) + power
-                deficit = dev.demand_kwh + extra - progress
-                if deficit <= EPS:
+                power = modes_kw[mode - 1]
+                load[t][j] += power
+                bound = demand + extra
+                if bound - progress <= EPS:
                     checks["viii"].record(dev_id, t)
-                progress = min(progress + power * cfg.slot_hours, dev.demand_kwh + extra)
+                progress += power * slot_hours
+                if bound < progress:
+                    progress = bound
+
+            elif kind is Move:
+                if t < arrival:
+                    checks["ii"].record(dev_id, t)
+                origin = action.origin
+                target = action.target
+                if not (
+                    0 <= origin < num_aggregators and 0 <= target < num_aggregators
+                ) or origin == target:
+                    checks["v"].record(dev_id, t)
+                    continue
+                if origin != location:
+                    checks["v"].record(dev_id, t)
+                opt = movement[origin][target]
+                extra += opt.total_kwh
+                location, transit, landing = target, action, t + opt.delay_slots
 
         if transit is not None and landing > tau:
             # transit ran into the end of the horizon
             checks["vi"].record(dev_id, tau - 1)
 
-    for (t, j), total in sorted(load.items()):
-        if total > cfg.budgets_kw[j] + _BUDGET_TOL:
-            overloaded = [
-                dev_id
-                for dev_id in sorted(decisions)
-                if isinstance(decisions[dev_id][t], Serve)
-                and decisions[dev_id][t].aggregator == j
-            ]
-            checks["iii"].record(overloaded[-1] if overloaded else "?", t)
+    budgets = cfg.budgets_kw
+    for t in range(tau):
+        for j in range(num_aggregators):
+            if load[t][j] > budgets[j] + _BUDGET_TOL:
+                # budgets are positive, so a cell over its budget has a
+                # Serve at (t, j); the witness is the last id serving there
+                overloaded = [
+                    dev_id
+                    for dev_id in ids
+                    if type(decisions[dev_id][t]) is Serve
+                    and decisions[dev_id][t].aggregator == j
+                ]
+                checks["iii"].record(overloaded[-1], t)
 
     return FeasibilityReport(checks)
 

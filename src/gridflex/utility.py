@@ -27,7 +27,6 @@ from .model import (
     IDLE,
     Action,
     DeviceRequest,
-    Idle,
     Move,
     Serve,
     SystemConfig,
@@ -126,7 +125,7 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
     the deadline with a deficit above `EPS`. Every term of any other slot is
     exactly 0, and adding 0.0 changes no sum. So scoring also starts at
     arrival, since a valid row idles before it, and an Idle slot that
-    cannot cost (most of a row) is passed over with one type check: it
+    cannot cost (most of a row) is passed over after its type checks: it
     changes no progress either. Once a Serve meets the demand and only
     Idle cells follow (most rows end so), the walk stops: every later
     slot costs exactly 0 and changes nothing. Only a Move slot goes
@@ -134,39 +133,51 @@ def row_loss(request: DeviceRequest, row: Sequence[Action], cfg: SystemConfig) -
     has movement and stationary terms of 0.0, so that sum is
     d + 0.0 + 0.0 == d for its deadline term d >= 0; d is added to `total`
     and the deadline sum directly, with the same bits.
+
+    The walk pays per event (a Serve, Move or late cell), so it dispatches
+    on each action's exact type (`Serve`, `Move`, anything else scored as
+    Idle) and reads the request's and configuration's fields once per row.
     """
     demand = request.demand_kwh
     deadline = request.deadline_slot
+    criticality = request.criticality
+    modes_kw = request.modes_kw
+    slot_hours = cfg.slot_hours
+    movement = cfg.movement
+    beta_max = cfg.beta_max
     progress = 0.0
     extra = 0.0
     total = d_sum = m_sum = p_sum = 0.0
     for slot in range(max(request.arrival_slot, 0), len(row)):
         action = row[slot]
-        if type(action) is Idle and (slot <= deadline or demand - progress <= EPS):
-            continue
-        moving = isinstance(action, Move)
-        if isinstance(action, Serve):
-            delivered = request.modes_kw[action.mode_index - 1] * cfg.slot_hours
-            progress += min(delivered, max(demand + extra - progress, 0.0))
+        kind = type(action)
+        if kind is Serve:
+            delivered = modes_kw[action.mode_index - 1] * slot_hours
+            # progress += min(delivered, max(room, 0.0)), the same float
+            # picked by the same comparisons
+            room = demand + extra - progress
+            if 0.0 > room:
+                room = 0.0
+            progress += room if room < delivered else delivered
             if demand - progress <= EPS:
                 rest = row[slot + 1 :]
                 if rest.count(IDLE) == len(rest):
                     break
-        elif moving and (slot == 0 or row[slot - 1] != action):
-            extra += cfg.movement[action.origin][action.target].total_kwh
-        if not moving:
-            if slot > deadline:
-                d = deadline_loss(
-                    progress, demand, slot, deadline, request.criticality, cfg.beta_max
-                )
-                total += d
-                d_sum += d
+        elif kind is Move:
+            if slot == 0 or row[slot - 1] != action:
+                extra += movement[action.origin][action.target].total_kwh
+            d, m, p = slot_loss(request, progress, action, slot, cfg)
+            total += d + m + p
+            d_sum += d
+            m_sum += m
+            p_sum += p
             continue
-        d, m, p = slot_loss(request, progress, action, slot, cfg)
-        total += d + m + p
-        d_sum += d
-        m_sum += m
-        p_sum += p
+        elif slot <= deadline or demand - progress <= EPS:
+            continue
+        if slot > deadline:
+            d = deadline_loss(progress, demand, slot, deadline, criticality, beta_max)
+            total += d
+            d_sum += d
     return RowLoss(total, d_sum, m_sum, p_sum, progress, extra, demand + extra - progress <= EPS)
 
 

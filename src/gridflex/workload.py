@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from importlib import resources
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (
     DeviceRequest,
@@ -33,6 +32,11 @@ from .model import (
     line_movement,
     uniform_movement,
 )
+
+# numpy is imported inside the four functions that draw from it, so a
+# command that draws nothing (run, validate, solve-exact) never loads it
+if TYPE_CHECKING:
+    import numpy as np
 
 # utilization bands: cluster demand as a fraction of budget * slot_hours * slots
 LOAD_CLASSES = {
@@ -83,6 +87,8 @@ def _simplex_split(
     redistribute so no entry exceeds its cap. The statistical intent is a
     uniform draw over the capped simplex, approximated by redistribution.
     """
+    import numpy as np
+
     if float(np.sum(caps)) < target * 0.99:
         raise GenerationError(
             f"cluster target {target:.2f} kWh exceeds deliverable cap {float(np.sum(caps)):.2f}"
@@ -162,6 +168,8 @@ def generate(spec: GenSpec) -> Scenario:
     (`MOVE_COST_KWH_PER_SLOT`) with `BUDGET_KW` each, and periodicities,
     criticalities and modes from the pools.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     J = len(spec.class_combo)
     tau = GEN_HORIZON_SLOTS
@@ -275,6 +283,8 @@ def micro_instances(
     instances are genuinely conflicted; everything passes model
     validation by construction.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     out: list[Scenario] = []
     for index in range(count):
@@ -395,10 +405,14 @@ def ingest_sessions(
     the `tau` the scenario schema allows. That clip is kept as found; it
     is not checked against the paper. Each device gets the smallest pool
     mode that makes its demand feasible, plus seeded lower modes,
-    criticality, and a mobility flag. Returns the scenario and the count
-    of sessions dropped during mapping; raises `ValueError` for a mobile
+    criticality, and a mobility flag. A session is dropped when its stay
+    maps to no slot before the clip, when its energy rounds to 0.00 kWh,
+    or when no pool mode delivers it in its window. Returns the scenario
+    and the count of sessions dropped; raises `ValueError` for a mobile
     fraction outside [0, 1].
     """
+    import numpy as np
+
     check_mobile_fraction(spec.mobile_fraction)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     tau = INGEST_HORIZON_SLOTS
@@ -421,6 +435,11 @@ def ingest_sessions(
             continue
         window = deadline_slot - arrival_slot
         demand = round(rec.energy_kwh, 2)
+        # below 0.005 kWh the energy rounds to a demand of 0.0, which no
+        # scenario may hold; drop the session before it draws its modes
+        if demand <= 0.0:
+            dropped += 1
+            continue
         modes = _draw_modes(rng, demand / (SLOT_HOURS * window))
         if modes is None:
             dropped += 1

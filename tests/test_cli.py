@@ -165,6 +165,30 @@ class TestRun:
         assert [out.read_text(), stdout] == want
         assert set(json.loads(stdout)["decisions"]) == {d.id for d in devices}
 
+    def test_run_does_not_import_numpy(self, tmp_path):
+        # only the commands that draw random numbers load numpy; a fresh
+        # interpreter shows what importing the CLI and a run pull in
+        golden = Path(gridflex.__file__).parent / "data" / "golden_light20.json"
+        probe = (
+            "import sys\n"
+            "from gridflex.cli import main\n"
+            "print('numpy' in sys.modules)\n"
+            f"code = main(['run', {str(golden)!r}, '--out', {str(tmp_path / 'r.json')!r}])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        src = str(Path(gridflex.__file__).resolve().parents[1])
+        paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == ["False", f"{EXIT_OK} False"]
+
     def test_table_format(self, scenario_file, capsys):
         assert main(["run", str(scenario_file), "--format", "table"]) == EXIT_OK
         out = capsys.readouterr().out

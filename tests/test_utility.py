@@ -1,10 +1,11 @@
 """Loss-model unit suite: closed-form values checked against mpmath."""
 
+import dataclasses
 import math
 
 import mpmath
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridflex.model import (
     DEFAULT_BETA_MAX,
@@ -12,6 +13,7 @@ from gridflex.model import (
     DeviceRequest,
     DeviceState,
     IDLE,
+    Idle,
     Move,
     Serve,
     SystemConfig,
@@ -204,6 +206,49 @@ _SHORT_DEMAND = 10.0 + 1e-10
 _SHORT = [Serve(2, 0)] * 10 + [IDLE] * 10
 
 
+def bits(row):
+    """A `RowLoss` with each float as its hex form, so -0.0 != 0.0."""
+    return [v.hex() if type(v) is float else v for v in dataclasses.astuple(row)]
+
+
+@st.composite
+def drawn_rows(draw):
+    """A request and a 20-slot row on `make_cfg()`'s 3-aggregator line:
+    Idle before arrival, then runs of Idle, Serve and whole or cut-off
+    transits in any order, so transits start at slot 0 and mid-row and
+    service and moves go on after the demand is met. A criticality of 50
+    or 1000 drives the deadline term to the `beta_max` clamp."""
+    arrival = draw(st.sampled_from([0, 0, 1, 4, 9]))
+    request = DeviceRequest(
+        id="u0",
+        arrival_slot=arrival,
+        deadline_slot=draw(st.integers(arrival, 19)),
+        mobile=draw(st.booleans()),
+        initial_energy_kwh=1.0,
+        demand_kwh=draw(
+            st.one_of(st.sampled_from([0.5, 1.5, 10.0, _SHORT_DEMAND]), st.floats(0.01, 30.0))
+        ),
+        criticality=draw(st.sampled_from([0.5, 1.6, 2.0, 50.0, 1000.0])),
+        modes_kw=(1.0, 2.0, 3.0),
+        home=0,
+    )
+    row = [IDLE] * arrival
+    while len(row) < 20:
+        kind = draw(st.sampled_from(["idle", "serve", "move"]))
+        if kind == "idle":
+            row += [draw(st.sampled_from([IDLE, Idle()]))] * draw(st.integers(1, 6))
+        elif kind == "serve":
+            row += [Serve(draw(st.integers(1, 3)), draw(st.integers(0, 2)))] * draw(
+                st.integers(1, 6)
+            )
+        else:
+            origin, target = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+            # the line's delay |origin - target|, or a cut-off or overlong run
+            cells = max(abs(origin - target) + draw(st.sampled_from([0, 0, -1, 1])), 1)
+            row += [Move(origin, target)] * cells
+    return request, row[:20]
+
+
 class TestRowLoss:
     """`row_loss` skips the slots that cannot cost, adds a late non-Move
     slot's deadline term directly and stops at an Idle tail after the
@@ -246,6 +291,13 @@ class TestRowLoss:
         want = slot_by_slot(request, row, cfg)
         assert want.deadline_loss > 0.0
         assert row_loss(request, row, cfg) == want
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=drawn_rows())
+    def test_drawn_row_equals_slot_by_slot_bit_for_bit(self, case):
+        request, row = case
+        cfg = make_cfg()
+        assert bits(row_loss(request, row, cfg)) == bits(slot_by_slot(request, row, cfg))
 
     def test_completed_reads_the_deficit_against_demand_plus_extra(self):
         # a one-slot hop 0 -> 1 commits 0.15 kWh of extra; 4 slots of

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridflex.model import Scenario, ScenarioFormatError, scenario_to_dict, validate_config
 from gridflex.workload import (
@@ -17,7 +18,7 @@ from gridflex.workload import (
     parse_sessions,
 )
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 
 def cluster_utilizations(scenario: Scenario) -> list[float]:
@@ -165,6 +166,21 @@ SESSIONS_CSV = """arrival,departure,kwh,station
 bad,row,here,x
 """
 
+# what `parse_sessions` can return: a positive finite energy, from below the
+# 0.005 kWh that rounds to 0.00 up to 1e300, and a stay of one minute to
+# 400 days (both naive, so they compare)
+SESSION_RECORDS = st.builds(
+    lambda arrival, stay, energy, station: SessionRecord(arrival, arrival + stay, energy, station),
+    st.datetimes(datetime(2019, 1, 1), datetime(2021, 12, 31)),
+    st.timedeltas(timedelta(minutes=1), timedelta(days=400)),
+    st.one_of(
+        st.sampled_from([1e-9, 0.001, 0.0049999, 0.005, 0.01]),
+        st.floats(1e-9, 1.0),
+        st.floats(1e-9, 1e300),
+    ),
+    st.sampled_from(["ST-01", "ST-02", "ST-03", "ST-04", "ST-05", "ST-06"]),
+)
+
 
 class TestParseSessions:
     def test_parses_and_skips(self):
@@ -272,10 +288,32 @@ class TestIngestSessions:
         assert dropped == 1
         assert scenario.devices == ()
 
-    def test_ingested_scenario_validates(self):
-        records, _ = parse_sessions(SESSIONS_CSV)
-        scenario, _ = ingest_sessions(records, IngestSpec(seed=7))
+    def test_session_below_a_hundredth_kwh_dropped(self):
+        # 0.004 kWh rounds to a demand of 0.00, which no scenario may hold
+        records = [
+            SessionRecord(
+                datetime(2020, 3, 2, 10, 0),
+                datetime(2020, 3, 2, 12, 0),
+                energy,
+                "ST-01",
+            )
+            for energy in (0.004, 0.005)
+        ]
+        scenario, dropped = ingest_sessions(records, IngestSpec())
+        assert dropped == 1
+        assert [dev.demand_kwh for dev in scenario.devices] == [0.01]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        records=st.lists(SESSION_RECORDS, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        fraction=st.floats(0.0, 1.0),
+    )
+    def test_ingested_scenario_validates(self, records, seed, fraction):
+        spec = IngestSpec(seed=seed, mobile_fraction=fraction)
+        scenario, dropped = ingest_sessions(records, spec)
         assert validate_config(scenario.config, scenario.devices) == []
+        assert len(scenario.devices) + dropped == len(records)
 
     def test_mode_is_smallest_feasible_pool_mode(self):
         records = [
